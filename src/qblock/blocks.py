@@ -84,23 +84,26 @@ def _dfs_blocks(g: ColoredGraph) -> tuple[list[set[int]], set[int]]:
                 low[p] = min(low[p], low[u])
                 if low[u] >= disc[p]:
                     # p separates the subtree at u: pop one block
-                    if p != start or low[u] > disc[p] or True:
-                        block_edges = []
-                        while edge_stack:
-                            e = edge_stack.pop()
-                            block_edges.append(e)
-                            if e == (p, u):
-                                break
-                        verts = {p}
-                        for a, b in block_edges:
-                            verts.add(a)
-                            verts.add(b)
-                        blocks.append(verts)
-                        if p != start:
-                            cuts.add(p)
+                    block_edges = []
+                    while edge_stack:
+                        e = edge_stack.pop()
+                        block_edges.append(e)
+                        if e == (p, u):
+                            break
+                    verts = {p}
+                    for a, b in block_edges:
+                        verts.add(a)
+                        verts.add(b)
+                    blocks.append(verts)
+                    if p != start:
+                        cuts.add(p)
         if root_children >= 2:
             cuts.add(start)
     return blocks, cuts
+
+
+def _sorted_blocks(blocks: list[set[int]]) -> list[tuple[int, ...]]:
+    return sorted((tuple(sorted(b)) for b in blocks), key=lambda t: (t[0], t))
 
 
 def cut_vertices(g: ColoredGraph) -> tuple[int, ...]:
@@ -114,7 +117,7 @@ def biconnected_components(g: ColoredGraph) -> list[tuple[int, ...]]:
     Isolated vertices yield no block (a block always carries an edge).
     """
     blocks, _ = _dfs_blocks(g)
-    return sorted((tuple(sorted(b)) for b in blocks), key=lambda t: (t[0], t))
+    return _sorted_blocks(blocks)
 
 
 def block_tree(g: ColoredGraph) -> BlockTree:
@@ -132,9 +135,9 @@ def block_tree(g: ColoredGraph) -> BlockTree:
             level={center: 0},
             parent={center: None},
         )
-    blocks = biconnected_components(g)
-    cuts = cut_vertices(g)
-    cutset = set(cuts)
+    raw_blocks, cutset = _dfs_blocks(g)
+    blocks = _sorted_blocks(raw_blocks)
+    cuts = tuple(sorted(cutset))
     tree_edges = frozenset(
         (i, v) for i, blk in enumerate(blocks) for v in blk if v in cutset
     )
@@ -150,9 +153,9 @@ def block_tree(g: ColoredGraph) -> BlockTree:
     level: dict[Node, int] = {}
     deg = {nd: len(adj[nd]) for nd in nodes}
     remaining = set(nodes)
+    leaves = sorted(nd for nd in nodes if deg[nd] <= 1)
     rnd = 0
     while remaining:
-        leaves = sorted(nd for nd in remaining if deg[nd] <= 1)
         if len(leaves) == len(remaining) and len(leaves) > 1 and rnd > 0:
             raise RuntimeError("block tree has no unique center")  # cannot happen
         for nd in leaves:
@@ -161,11 +164,15 @@ def block_tree(g: ColoredGraph) -> BlockTree:
             center = leaves[0]
             remaining.clear()
             break
+        # a node becomes a leaf of the next round as its degree drops to 1
+        nxt = []
         for nd in leaves:
             remaining.discard(nd)
             for w in adj[nd]:
                 if w in remaining:
                     deg[w] -= 1
+                    if deg[w] == 1:
+                        nxt.append(w)
         if len(remaining) == 1:
             center = next(iter(remaining))
             level[center] = rnd + 1
@@ -179,6 +186,7 @@ def block_tree(g: ColoredGraph) -> BlockTree:
             center = leaves[0]
             break
         rnd += 1
+        leaves = sorted(nxt)
 
     # orient toward center
     parent: dict[Node, Optional[Node]] = {center: None}

@@ -3,16 +3,24 @@
 Canonical codes are explicit byte strings, never hashes: equality of codes must
 coincide exactly with rooted colored isomorphism, since merged classes feed
 directly into the quantum-group composition.
+
+`_CodeCtx` is the one code system. It decomposes a connected graph once into
+blocks and cut vertices, and codes every node of the block-cut tree, in any
+orientation, from the codes of its children, without re-inducing branches.
+`rooted_code` is a thin wrapper that codes the node covering the whole graph,
+and the engine reads the codes of all nodes from the same context.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .blocks import RootedGraph, biconnected_components, block_tree, cut_vertices
-from .classrec import hamiltonian_cycle
+# biconnected_components, cut_vertices: unused, kept for perfbench/tracer.py to wrap
+from .blocks import RootedGraph, biconnected_components, block_tree, cut_vertices  # noqa: F401
+from .classrec import CycleStructure, block_is_complete, hamiltonian_cycle
 from .errors import (
     NotConnectedError,
     NotOuterplanarBlockError,
@@ -38,11 +46,6 @@ def pack(tag: bytes, parts: Iterable[bytes]) -> bytes:
 
 def enc_int(i: int) -> bytes:
     return str(i).encode("ascii")
-
-
-@dataclass(frozen=True, order=True)
-class CanonCode:
-    data: bytes
 
 
 # ---------------------------------------------------------------------------
@@ -294,64 +297,128 @@ def dihedral_symmetries(
 # ---------------------------------------------------------------------------
 
 
+# A node of the block-cut tree, oriented away from a top node: ("c", v, b) is
+# cut vertex v entered from its parent block b, ("b", i, r) is block i entered
+# through vertex r; b and r are None at the top.
+CodeNode = tuple[str, int, Optional[int]]
+
+
+class BlockShape:
+    """One block's induced graph and Hamiltonian cycle, each built on first use.
+
+    The code of a block and its atom in the engine read the same cycle.
+    """
+
+    def __init__(self, g: ColoredGraph, verts: Sequence[int]):
+        self.g = g
+        self.verts = tuple(verts)
+        self.complete = block_is_complete(g, self.verts)
+
+    @cached_property
+    def graph(self) -> ColoredGraph:
+        """The block induced on `verts` (sorted), relabelled 0..k-1 in that order."""
+        return induced_subgraph(self.g, self.verts)[0]
+
+    @cached_property
+    def cycle(self) -> CycleStructure:
+        try:
+            return hamiltonian_cycle(self.graph)
+        except NotOuterplanarBlockError as exc:
+            raise UnsupportedBlockError(
+                f"block {self.verts} is neither complete nor outerplanar"
+            ) from exc
+
+
 class _CodeCtx:
+    """Canonical codes of the nodes of one connected graph's block-cut tree.
+
+    The code of a node covers what hangs below it, so the code of
+    ("c", v, b) equals `rooted_code` of the branch at v away from block b,
+    induced on its own. Codes are memoised per node, that is per (cut, parent
+    block) and per (block, root), and are computed children first from an
+    explicit stack, so the depth of the tree is not bounded by Python's
+    recursion limit.
+    """
+
     def __init__(self, g: ColoredGraph):
         self.g = g
-        self.blocks = biconnected_components(g)
-        self.cuts = frozenset(cut_vertices(g))
+        self.tree = block_tree(g)
+        self.blocks = self.tree.blocks
+        self.cuts = frozenset(self.tree.cuts)
         self.incident: dict[int, list[int]] = {}
         for i, blk in enumerate(self.blocks):
             for v in blk:
                 self.incident.setdefault(v, []).append(i)
-        self._cut_memo: dict[tuple[int, Optional[int]], bytes] = {}
+        self.shapes = [BlockShape(g, blk) for blk in self.blocks]
+        self._codes: dict[CodeNode, bytes] = {}
 
-    def vertex_label(self, v: int, parent_block: int, root: Optional[int]) -> bytes:
-        child = b""
-        if v in self.cuts and v != root:
-            child = self.cut_code(v, parent_block)
-        return pack(b"L", [enc_int(self.g.colors[v]), child])
+    def top(self, root: Optional[int]) -> CodeNode:
+        """The node covering the whole graph: the center if unrooted, else the
+        root as a cut, or the root's only block pinned at the root."""
+        if root is None:
+            kind, idx = self.tree.center
+            return (kind, idx, None)
+        if root in self.cuts:
+            return ("c", root, None)
+        return ("b", self.incident[root][0], root)
 
-    def cut_code(self, v: int, parent_block: Optional[int]) -> bytes:
-        key = (v, parent_block)
-        if key in self._cut_memo:
-            return self._cut_memo[key]
-        children = [b for b in self.incident[v] if b != parent_block]
-        parts = [enc_int(self.g.colors[v])]
-        parts.extend(sorted(self.block_code(b, v) for b in children))
-        code = pack(b"c", parts)
-        self._cut_memo[key] = code
-        return code
+    def children(self, node: CodeNode) -> list[CodeNode]:
+        kind, x, up = node
+        if kind == "c":
+            return [("b", b, x) for b in self.incident[x] if b != up]
+        return [("c", v, x) for v in self.blocks[x] if v in self.cuts and v != up]
 
-    def block_code(self, bid: int, root: Optional[int]) -> bytes:
-        verts = self.blocks[bid]
-        labels = {v: self.vertex_label(v, bid, root) for v in verts}
-        k = len(verts)
-        complete = all(
-            self.g.has_edge(verts[i], verts[j])
-            for i in range(k)
-            for j in range(i + 1, k)
-        )
-        if complete:
-            if root is None:
-                return pack(b"K0", [enc_int(k)] + sorted(labels.values()))
-            others = sorted(labels[v] for v in verts if v != root)
-            return pack(b"K1", [enc_int(k), labels[root]] + others)
-        sub, rel = induced_subgraph(self.g, verts)
-        try:
-            cs = hamiltonian_cycle(sub)
-        except NotOuterplanarBlockError as exc:
-            raise UnsupportedBlockError(
-                f"block {verts} is neither complete nor outerplanar"
-            ) from exc
-        inv = {new: old for old, new in rel.items()}
-        gcycle = [inv[x] for x in cs.cycle]
-        gchords = [frozenset((inv[u], inv[v])) for u, v in cs.chords]
-        candidates = dihedral_orders(gcycle)
-        if root is not None:
-            candidates = [c for c in candidates if c[0] == root]
-        tag = b"O0" if root is None else b"O1"
-        best = min(tag + _order_encoding(c, gchords, labels) for c in candidates)
-        return best
+    def branch(self, v: int, parent_block: int) -> CodeNode:
+        """What hangs below cut v away from `parent_block`: its one child
+        block, rooted at v, or else v itself as a cut node."""
+        below = self.children(("c", v, parent_block))
+        return below[0] if len(below) == 1 else ("c", v, parent_block)
+
+    def walk(self, top: CodeNode) -> list[tuple[CodeNode, bytes]]:
+        """(node, code) for every node below `top`, children before parents."""
+        order: list[CodeNode] = []
+        stack = [top]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            stack.extend(self.children(node))
+        order.reverse()
+        codes = self._codes
+        for node in order:
+            if node not in codes:
+                codes[node] = self._code(node)
+        return [(node, codes[node]) for node in order]
+
+    def code(self, node: CodeNode) -> bytes:
+        if node not in self._codes:
+            self.walk(node)
+        return self._codes[node]
+
+    def _code(self, node: CodeNode) -> bytes:
+        """Code of `node` from the codes of its children."""
+        kind, x, up = node
+        colors, codes = self.g.colors, self._codes
+        if kind == "c":
+            below = sorted(codes[child] for child in self.children(node))
+            return pack(b"c", [enc_int(colors[x])] + below)
+        verts, shape, root = self.blocks[x], self.shapes[x], up
+        below = {child[1]: codes[child] for child in self.children(node)}
+        labels = [
+            pack(b"L", [enc_int(colors[v]), below.get(v, b"")]) for v in verts
+        ]
+        r = None if root is None else verts.index(root)
+        if shape.complete:
+            if r is None:
+                return pack(b"K0", [enc_int(len(verts))] + sorted(labels))
+            others = sorted(labels[:r] + labels[r + 1 :])
+            return pack(b"K1", [enc_int(len(verts)), labels[r]] + others)
+        cs = shape.cycle
+        candidates = dihedral_orders(cs.cycle)
+        if r is not None:
+            candidates = [c for c in candidates if c[0] == r]
+        tag = b"O0" if r is None else b"O1"
+        label_of = dict(enumerate(labels))
+        return min(tag + _order_encoding(c, cs.chords, label_of) for c in candidates)
 
 
 def rooted_code(g: ColoredGraph, root: Optional[int]) -> bytes:
@@ -362,28 +429,7 @@ def rooted_code(g: ColoredGraph, root: Optional[int]) -> bytes:
         return b"E"
     if g.n == 1:
         return pack(b"V", [enc_int(g.colors[0])])
-    ctx = _CodeCtx(g)
-    if root is None:
-        t = block_tree(g)
-        kind, idx = t.center
-        if kind == "c":
-            return ctx.cut_code(idx, None)
-        # the block tuples in _CodeCtx and block_tree share the ordering
-        bid = ctx.blocks.index(t.blocks[idx])
-        return ctx.block_code(bid, None)
-    if not (0 <= root < g.n):
+    if root is not None and not (0 <= root < g.n):
         raise ValueError("root outside vertex range")
-    if root in ctx.cuts:
-        return ctx.cut_code(root, None)
-    bid = ctx.incident[root][0]
-    return ctx.block_code(bid, root)
-
-
-def canon_code(r: RootedGraph, graph_class=None) -> CanonCode:
-    """Canonical code under rooted colored isomorphism.
-
-    `graph_class` is accepted for callers that already classified the graph;
-    unsupported blocks are rejected during coding either way.
-    """
-    tag = b"U" if r.root is None else b"R"
-    return CanonCode(pack(tag, [rooted_code(r.graph, r.root)]))
+    ctx = _CodeCtx(g)
+    return ctx.code(ctx.top(root))

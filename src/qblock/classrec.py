@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Sequence
 
 from .blocks import biconnected_components
 from .errors import NotBiconnectedError, NotOuterplanarBlockError
@@ -97,12 +98,10 @@ def hamiltonian_cycle(b: ColoredGraph) -> CycleStructure:
     return CycleStructure(cycle=tuple(cycle), chords=inner)
 
 
-def _block_is_complete(g: ColoredGraph, verts: tuple[int, ...]) -> bool:
-    return all(
-        g.has_edge(verts[i], verts[j])
-        for i in range(len(verts))
-        for j in range(i + 1, len(verts))
-    )
+def block_is_complete(g: ColoredGraph, verts: Sequence[int]) -> bool:
+    """Whether the k vertices `verts` induce a complete block: k(k-1)/2 edges."""
+    vs = frozenset(verts)
+    return sum(len(g.adjacency[v] & vs) for v in vs) == len(vs) * (len(vs) - 1)
 
 
 def classify(g: ColoredGraph) -> GraphClass:
@@ -111,7 +110,7 @@ def classify(g: ColoredGraph) -> GraphClass:
     if g.m == g.n - len(comps):
         return GraphClass.FOREST
     blocks = biconnected_components(g)
-    if all(_block_is_complete(g, b) for b in blocks):
+    if all(block_is_complete(g, b) for b in blocks):
         return GraphClass.BLOCK_GRAPH
     for b in blocks:
         if len(b) <= 2:

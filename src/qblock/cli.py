@@ -13,13 +13,9 @@ from .classrec import GraphClass, classify
 from .engine import qut
 from .errors import (
     ClassRefusedError,
-    NotBiconnectedError,
-    NotConnectedError,
     OrbitGapError,
     ParseError,
     QBlockError,
-    TooLargeError,
-    UnknownVertexError,
     UnsupportedBlockError,
 )
 from .graph import ColoredGraph, make_graph, parse_graph
@@ -219,7 +215,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cross-check the classical shadow against brute-force |Aut|",
     )
-    q.add_argument("--jobs", type=int, default=1, help="parallelism bound (>= 1)")
     q.set_defaults(func=_cmd_qut)
 
     c = sub.add_parser("classify", help="print the graph class tag")
@@ -243,9 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return EXIT_INPUT
     try:
         return args.func(args)
     except ParseError as exc:
@@ -257,15 +249,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OrbitGapError as exc:
         print(f"orbit gap: {exc}", file=sys.stderr)
         return EXIT_ORBIT_GAP
-    except (
-        NotConnectedError,
-        NotBiconnectedError,
-        TooLargeError,
-        UnknownVertexError,
-        QBlockError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (QBlockError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,33 +1,32 @@
-"""Recursive computation of quantum automorphism groups over the block tree.
+"""Quantum automorphism groups by one post-order pass over the block-cut tree.
 
-The recursion follows the center of the block tree: a central cut vertex
-contributes a free product of free wreaths over isomorphism classes of its
-branches; a central block contributes a free inhomogeneous wreath of branch
-stabilizers over the orbits of the block's own quantum group, with child cut
-vertices colored by the rooted-isomorphism type of what hangs below them.
+The pass takes the canonical codes of the block-cut tree's nodes from
+`canon._CodeCtx` and, children first, gives each distinct code its quantum
+group. A cut vertex contributes a free product of free wreaths over the
+isomorphism classes of the branches below it. A block contributes a free
+inhomogeneous wreath of branch stabilizers over the orbits of the block's own
+quantum group, with each child cut vertex labelled by the code of what hangs
+below it. The tree is oriented toward its center, or toward the root of a
+rooted call.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import canon
-from .blocks import (
+# unused names below stay importable here because perfbench/tracer.py wraps them
+from .blocks import (  # noqa: F401
     BlockTree,
-    RootedGraph,
     biconnected_components,
     block_tree,
     cut_vertices,
     subgraph_below,
 )
-from .classrec import GraphClass, classify, hamiltonian_cycle
-from .errors import (
-    ClassRefusedError,
-    NotConnectedError,
-    NotOuterplanarBlockError,
-    UnsupportedBlockError,
-)
+from .classrec import CycleStructure, GraphClass, classify, hamiltonian_cycle  # noqa: F401
+from .errors import ClassRefusedError, NotConnectedError
 from .graph import (
     ColoredGraph,
     complement,
@@ -60,16 +59,14 @@ class QutResult:
     graph_class: GraphClass
 
 
-class _Ctx:
-    """Per-computation memo keyed by rooted canonical codes."""
-
-    def __init__(self) -> None:
-        self.memo: dict[bytes, QGroupExpr] = {}
-
-
 # ---------------------------------------------------------------------------
 # block atoms
 # ---------------------------------------------------------------------------
+
+
+def _label(color: int, branch: bytes, pinned: bool) -> bytes:
+    """A block vertex's label: colour, code of the branch below it, pin mark."""
+    return canon.pack(b"L", [canon.enc_int(color), branch, b"P" if pinned else b""])
 
 
 def _labeled(b: ColoredGraph, labels: Sequence[bytes]) -> ColoredGraph:
@@ -132,15 +129,12 @@ def _four_atom(
 
 
 def _dihedral_atom(
-    bb: ColoredGraph, labels: Sequence[bytes], pin: Optional[int]
+    bb: ColoredGraph,
+    labels: Sequence[bytes],
+    pin: Optional[int],
+    cs: CycleStructure,
 ) -> tuple[QGroupExpr, list[tuple[int, ...]]]:
     """Classical route for outerplanar blocks: all symmetry is dihedral."""
-    try:
-        cs = hamiltonian_cycle(bb)
-    except NotOuterplanarBlockError as exc:
-        raise UnsupportedBlockError(
-            "block is neither complete nor outerplanar"
-        ) from exc
     n = bb.n
     lab_of = {v: labels[v] for v in range(n)}
     best_order, sym_maps = canon.dihedral_symmetries(cs.cycle, cs.chords, lab_of)
@@ -172,161 +166,92 @@ def _dihedral_atom(
 
 
 def _block_atom(
-    b: ColoredGraph, labels: Sequence[bytes], pin: Optional[int]
+    shape: canon.BlockShape, labels: Sequence[bytes], pin: Optional[int]
 ) -> tuple[QGroupExpr, list[tuple[int, ...]]]:
     """Dispatch for a single block, returning (expression, canonical orbits)."""
-    bb = _labeled(b, labels)
-    n = bb.n
+    n = len(labels)
     if n == 0:
         return TRIVIAL, []
-    if n == 1:
-        return TRIVIAL, [(0,)]
-    complete = all(
-        bb.has_edge(i, j) for i in range(n) for j in range(i + 1, n)
-    )
-    if complete:
+    if shape.complete:
         classes: dict[bytes, list[int]] = {}
         for v in range(n):
             classes.setdefault(labels[v], []).append(v)
         ordered = [tuple(sorted(classes[lab])) for lab in sorted(classes)]
         expr = free_product([symq(len(c)) for c in ordered])
         return expr, ordered
+    bb = _labeled(shape.graph, labels)
     if n == 4 and pin is None:
         return _four_atom(bb, labels)
-    return _dihedral_atom(bb, labels, pin)
+    return _dihedral_atom(bb, labels, pin, shape.cycle)
 
 
 def qut_block_atom(b: ColoredGraph, pin: Optional[int] = None) -> QGroupExpr:
     """Quantum automorphism group of a single (colored, optionally pinned) block."""
-    labels = [
-        canon.pack(
-            b"L",
-            [
-                canon.enc_int(b.colors[v]),
-                b"",
-                b"P" if v == pin else b"",
-            ],
-        )
-        for v in range(b.n)
-    ]
-    expr, _ = _block_atom(b, labels, pin)
+    labels = [_label(b.colors[v], b"", v == pin) for v in range(b.n)]
+    expr, _ = _block_atom(canon.BlockShape(b, range(b.n)), labels, pin)
     return expr
 
 
 # ---------------------------------------------------------------------------
-# recursion over the block tree
+# one post-order pass over the block-cut tree
 # ---------------------------------------------------------------------------
 
 
-def _components_without(g: ColoredGraph, removed: int) -> list[tuple[int, ...]]:
-    seen = {removed}
-    comps = []
-    for s in range(g.n):
-        if s in seen:
-            continue
-        comp = []
-        stack = [s]
-        seen.add(s)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in g.adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
-    return comps
-
-
-def _cut_formula(g: ColoredGraph, alpha: int, ctx: _Ctx) -> QGroupExpr:
-    groups: dict[bytes, tuple[ColoredGraph, int, int]] = {}
-    for comp in _components_without(g, alpha):
-        verts = sorted(set(comp) | {alpha})
-        sub, rel = induced_subgraph(g, verts)
-        root = rel[alpha]
-        code = canon.rooted_code(sub, root)
-        if code in groups:
-            rep, r, k = groups[code]
-            groups[code] = (rep, r, k + 1)
-        else:
-            groups[code] = (sub, root, 1)
-    factors = []
-    for code in sorted(groups):
-        rep, root, k = groups[code]
-        factors.append(free_wreath(_qut_rooted(rep, root, ctx), symq(k)))
-    return free_product(factors)
+def _cut_formula(codes: Iterable[bytes], memo: dict[bytes, QGroupExpr]) -> QGroupExpr:
+    """Group of the branches at a cut vertex, or of a disjoint union: a free
+    product, over the classes of equal codes, of free wreaths by S^+(size)."""
+    counts = Counter(codes)
+    return free_product(
+        [free_wreath(memo[code], symq(k)) for code, k in sorted(counts.items())]
+    )
 
 
 def _block_formula(
-    g: ColoredGraph,
-    block_verts: Sequence[int],
-    root: Optional[int],
-    ctx: _Ctx,
+    ctx: canon._CodeCtx, node: canon.CodeNode, memo: dict[bytes, QGroupExpr]
 ) -> QGroupExpr:
-    cuts = set(cut_vertices(g))
-    bset = set(block_verts)
-    branch: dict[int, tuple[ColoredGraph, int]] = {}
-    branch_code: dict[int, bytes] = {}
-    for w in block_verts:
-        if w not in cuts or w == root:
-            continue
-        below = {w}
-        for comp in _components_without(g, w):
-            if not (set(comp) & (bset - {w})):
-                below.update(comp)
-        sub, rel = induced_subgraph(g, sorted(below))
-        branch[w] = (sub, rel[w])
-        branch_code[w] = canon.rooted_code(sub, rel[w])
-    labels_by_vertex = {
-        v: canon.pack(
-            b"L",
-            [
-                canon.enc_int(g.colors[v]),
-                branch_code.get(v, b""),
-                b"P" if v == root else b"",
-            ],
-        )
-        for v in block_verts
-    }
-    sub_b, rel_b = induced_subgraph(g, sorted(block_verts))
-    inv_b = {new: old for old, new in rel_b.items()}
-    local_labels = [labels_by_vertex[inv_b[x]] for x in range(sub_b.n)]
-    pin = rel_b[root] if root is not None else None
-    base_expr, orbits = _block_atom(sub_b, local_labels, pin)
-    factors: list[tuple[QGroupExpr, int]] = []
+    """Inhomogeneous free wreath of branch groups over the block's orbits."""
+    _, bid, root = node
+    verts = ctx.blocks[bid]
+    branch = {v: ctx.code(ctx.branch(v, bid)) for _, v, _ in ctx.children(node)}
+    labels = [_label(ctx.g.colors[v], branch.get(v, b""), v == root) for v in verts]
+    pin = None if root is None else verts.index(root)
+    base_expr, orbits = _block_atom(ctx.shapes[bid], labels, pin)
+    factors = []
     for orb in orbits:
-        gverts = [inv_b[x] for x in orb]
-        members = [v for v in gverts if v in branch]
-        if members:
-            sub, r = branch[members[0]]
-            factors.append((_qut_rooted(sub, r, ctx), len(orb)))
-        else:
-            factors.append((TRIVIAL, len(orb)))
+        # an orbit lies in one label class, so its first vertex stands for all
+        v = verts[orb[0]]
+        factors.append((memo[branch[v]] if v in branch else TRIVIAL, len(orb)))
     return inhom_free_wreath(factors, base_expr)
 
 
-def _qut_rooted(g: ColoredGraph, root: Optional[int], ctx: _Ctx) -> QGroupExpr:
-    code = (b"R" if root is not None else b"U") + canon.rooted_code(g, root)
-    if code in ctx.memo:
-        return ctx.memo[code]
-    if g.n == 1:
-        expr: QGroupExpr = TRIVIAL
-    elif root is None:
-        t = block_tree(g)
-        if len(t.blocks) == 1:
-            expr = _block_formula(g, t.blocks[0], None, ctx)
-        elif t.center[0] == "c":
-            expr = _cut_formula(g, t.center[1], ctx)
+def _qut_pass(
+    g: ColoredGraph, root: Optional[int], memo: dict[bytes, QGroupExpr]
+) -> bytes:
+    """Code of connected `g` (rooted at `root` if given); its Qut goes to `memo`.
+
+    Each node of the block-cut tree is visited once, children first; its
+    group is built from the children's groups the first time its code occurs.
+    """
+    if g.n <= 1:
+        code = canon.rooted_code(g, root)
+        memo[code] = TRIVIAL
+        return code
+    ctx = canon._CodeCtx(g)
+    top = ctx.top(root)
+    for node, code in ctx.walk(top):
+        if code in memo:
+            continue
+        if node[0] == "c":
+            below = [ctx.code(child) for child in ctx.children(node)]
+            memo[code] = _cut_formula(below, memo)
         else:
-            expr = _block_formula(g, t.blocks[t.center[1]], None, ctx)
-    elif root in set(cut_vertices(g)):
-        expr = _cut_formula(g, root, ctx)
-    else:
-        blocks = biconnected_components(g)
-        top = next(b for b in blocks if root in b)
-        expr = _block_formula(g, top, root, ctx)
-    ctx.memo[code] = expr
-    return expr
+            memo[code] = _block_formula(ctx, node, memo)
+    return ctx.code(top)
+
+
+def _qut_rooted(g: ColoredGraph, root: Optional[int]) -> QGroupExpr:
+    memo: dict[bytes, QGroupExpr] = {}
+    return memo[_qut_pass(g, root, memo)]
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +262,7 @@ def _qut_rooted(g: ColoredGraph, root: Optional[int], ctx: _Ctx) -> QGroupExpr:
 def qut_connected(g: ColoredGraph) -> QGroupExpr:
     if not is_connected(g):
         raise NotConnectedError("qut_connected requires a connected graph")
-    return _qut_rooted(g, None, _Ctx())
+    return _qut_rooted(g, None)
 
 
 def qut(g: ColoredGraph, force: bool = False) -> QutResult:
@@ -351,46 +276,34 @@ def qut(g: ColoredGraph, force: bool = False) -> QutResult:
                 " iso <=> quantum-iso hypothesis"
             )
         assumptions = (FORCED_ASSUMPTION,)
-    ctx = _Ctx()
     comps = connected_components(g)
     if not comps:
         expr: QGroupExpr = TRIVIAL
     elif len(comps) == 1:
-        expr = _qut_rooted(g, None, ctx)
+        expr = _qut_rooted(g, None)
     else:
-        groups: dict[bytes, tuple[ColoredGraph, int]] = {}
-        for comp in comps:
-            sub, _ = induced_subgraph(g, comp)
-            code = canon.rooted_code(sub, None)
-            if code in groups:
-                rep, k = groups[code]
-                groups[code] = (rep, k + 1)
-            else:
-                groups[code] = (sub, 1)
-        factors = []
-        for code in sorted(groups):
-            rep, k = groups[code]
-            factors.append(free_wreath(_qut_rooted(rep, None, ctx), symq(k)))
-        expr = free_product(factors)
+        # one memo across components: a repeated component costs its codes only
+        memo: dict[bytes, QGroupExpr] = {}
+        codes = [_qut_pass(induced_subgraph(g, comp)[0], None, memo) for comp in comps]
+        expr = _cut_formula(codes, memo)
     return QutResult(expr=expr, assumptions=assumptions, graph_class=cls)
 
 
 def qut_central_cut(g: ColoredGraph, t: BlockTree, alpha: int) -> QGroupExpr:
     if t.center != ("c", alpha):
         raise ValueError(f"vertex {alpha} is not the central cut vertex")
-    return _cut_formula(g, alpha, _Ctx())
+    return _qut_rooted(g, None)
 
 
 def qut_rooted_cut(g: ColoredGraph, t: BlockTree, alpha: int) -> QGroupExpr:
     rg, _ = subgraph_below(g, t, ("c", alpha))
-    assert rg.root is not None
-    return _qut_rooted(rg.graph, rg.root, _Ctx())
+    return _qut_rooted(rg.graph, rg.root)
 
 
 def qut_central_block(g: ColoredGraph, t: BlockTree, block_index: int) -> QGroupExpr:
     if t.center != ("b", block_index):
         raise ValueError(f"block {block_index} is not the central block")
-    return _block_formula(g, t.blocks[block_index], None, _Ctx())
+    return _qut_rooted(g, None)
 
 
 def qut_rooted_block(
@@ -399,7 +312,7 @@ def qut_rooted_block(
     if alpha not in t.blocks[block_index]:
         raise ValueError(f"vertex {alpha} is not in block {block_index}")
     rg, rel = subgraph_below(g, t, ("b", block_index))
-    return _qut_rooted(rg.graph, rel[alpha], _Ctx())
+    return _qut_rooted(rg.graph, rel[alpha])
 
 
 def has_quantum_symmetry(g: ColoredGraph) -> bool:

@@ -5,7 +5,7 @@ import pytest
 from qblock import canon
 from qblock.blocks import RootedGraph
 from qblock.errors import TooLargeError, UnsupportedBlockError
-from qblock.graph import make_graph, relabel
+from qblock.graph import induced_subgraph, make_graph, relabel
 
 from helpers import (
     BOWTIE,
@@ -153,11 +153,32 @@ def test_rooted_code_is_relabel_invariant():
         )
 
 
-def test_canon_code_wrapper():
-    code = canon.canon_code(RootedGraph(path_graph(3), 1))
-    assert isinstance(code, canon.CanonCode)
-    assert code == canon.canon_code(RootedGraph(path_graph(3), 1))
-    assert code != canon.canon_code(RootedGraph(path_graph(3), 0))
+def _branch_below(g, v, block):
+    """v and everything reachable from it without entering block - {v}."""
+    barrier = set(block) - {v}
+    seen, stack = {v}, [v]
+    while stack:
+        u = stack.pop()
+        for w in g.adjacency[u]:
+            if w not in seen and w not in barrier:
+                seen.add(w)
+                stack.append(w)
+    return sorted(seen)
+
+
+def test_in_context_branch_codes_match_induced_branches():
+    rng = random.Random(61)
+    checked = 0
+    for i in range(60):
+        g = (rand_outerplanar, rand_block_graph)[i % 2](rng, 14)
+        g = make_graph(g.n, g.edges, [rng.randrange(2) for _ in range(g.n)])
+        ctx = canon._CodeCtx(g)
+        for v in ctx.cuts:
+            for b in ctx.incident[v]:
+                sub, rel = induced_subgraph(g, _branch_below(g, v, ctx.blocks[b]))
+                assert ctx.code(ctx.branch(v, b)) == canon.rooted_code(sub, rel[v])
+                checked += 1
+    assert checked > 200
 
 
 def test_code_rejects_unsupported_blocks():

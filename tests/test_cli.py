@@ -70,18 +70,10 @@ def test_qut_check_aut_size_guard(tmp_path, capsys):
     assert "limited" in capsys.readouterr().err
 
 
-def test_qut_jobs_validation(c4_file, capsys):
-    assert main(["qut", c4_file, "--jobs", "2"]) == EXIT_OK
-    capsys.readouterr()
-    assert main(["qut", c4_file, "--jobs", "0"]) == EXIT_INPUT
-
-
 def test_qut_output_is_deterministic(c4_file, capsys):
     main(["qut", c4_file])
     first = capsys.readouterr().out
     main(["qut", c4_file])
-    assert capsys.readouterr().out == first
-    main(["qut", c4_file, "--jobs", "4"])
     assert capsys.readouterr().out == first
 
 

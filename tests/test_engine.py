@@ -1,4 +1,6 @@
 import random
+import sys
+from math import factorial, prod
 
 import pytest
 
@@ -284,3 +286,32 @@ def test_shadow_on_named_graphs():
         except UnsupportedBlockError:
             continue
         assert classical_shadow_order(expr) == brute_aut_order(g)
+
+
+# -- deep inputs: nothing may depend on Python's recursion limit ---------------
+
+
+def test_long_path_under_default_recursion_limit():
+    assert sys.getrecursionlimit() <= 1000
+    assert qut(path_graph(1000)).expr == SymQ(2)
+
+
+def _caterpillar(leaves):
+    spine = len(leaves)
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    n = spine
+    for i, k in enumerate(leaves):
+        edges += [(i, n + j) for j in range(k)]
+        n += k
+    return make_graph(n, edges)
+
+
+def test_long_caterpillar_shadow():
+    rng = random.Random(600)
+    for mirrored in (False, True):
+        leaves = [rng.randint(1, 3) for _ in range(600)]
+        if mirrored:
+            leaves = leaves[:300] + leaves[:300][::-1]
+        expected = prod(factorial(k) for k in leaves)
+        expected *= 2 if leaves == leaves[::-1] else 1
+        assert classical_shadow_order(qut(_caterpillar(leaves)).expr) == expected
