@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Collection, Optional, Sequence
 
 from .errors import NotConnectedError, UnknownNodeError
 from .graph import ColoredGraph, induced_subgraph, is_connected
@@ -120,73 +120,51 @@ def biconnected_components(g: ColoredGraph) -> list[tuple[int, ...]]:
     return _sorted_blocks(blocks)
 
 
-def block_tree(g: ColoredGraph) -> BlockTree:
-    if not is_connected(g):
-        raise NotConnectedError("block tree requires a connected graph")
-    if g.n == 1:
-        # degenerate single-vertex block
-        blk = ((0,),)
-        center: Node = ("b", 0)
-        return BlockTree(
-            blocks=blk,
-            cuts=(),
-            tree_edges=frozenset(),
-            center=center,
-            level={center: 0},
-            parent={center: None},
-        )
-    raw_blocks, cutset = _dfs_blocks(g)
-    blocks = _sorted_blocks(raw_blocks)
-    cuts = tuple(sorted(cutset))
-    tree_edges = frozenset(
-        (i, v) for i, blk in enumerate(blocks) for v in blk if v in cutset
-    )
-    nodes: list[Node] = [("b", i) for i in range(len(blocks))] + [
-        ("c", v) for v in cuts
-    ]
-    adj: dict[Node, set[Node]] = {nd: set() for nd in nodes}
-    for i, v in tree_edges:
-        adj[("b", i)].add(("c", v))
-        adj[("c", v)].add(("b", i))
+def _peel(
+    blocks: Sequence[Sequence[int]], cuts: Collection[int]
+) -> tuple[dict[Node, set[Node]], dict[Node, int], list[Node]]:
+    """The block-cut forest of `blocks`, peeled from its leaves.
 
-    # leaf peeling: level = round at which a node becomes a leaf
+    Returns the forest's adjacency, the level of each node (the round in
+    which it becomes a leaf) and the center of each tree, its node with no
+    neighbour of higher level; a block-cut tree has one center.
+    """
+    adj: dict[Node, set[Node]] = {("b", i): set() for i in range(len(blocks))}
+    for i, blk in enumerate(blocks):
+        for v in blk:
+            if v in cuts:
+                adj[("b", i)].add(("c", v))
+                adj.setdefault(("c", v), set()).add(("b", i))
     level: dict[Node, int] = {}
-    deg = {nd: len(adj[nd]) for nd in nodes}
-    remaining = set(nodes)
-    leaves = sorted(nd for nd in nodes if deg[nd] <= 1)
+    deg = {nd: len(ws) for nd, ws in adj.items()}
+    leaves = [nd for nd, d in deg.items() if d <= 1]
     rnd = 0
-    while remaining:
-        if len(leaves) == len(remaining) and len(leaves) > 1 and rnd > 0:
-            raise RuntimeError("block tree has no unique center")  # cannot happen
+    while leaves:
         for nd in leaves:
             level[nd] = rnd
-        if len(remaining) == len(leaves) and len(leaves) == 1:
-            center = leaves[0]
-            remaining.clear()
-            break
         # a node becomes a leaf of the next round as its degree drops to 1
         nxt = []
         for nd in leaves:
-            remaining.discard(nd)
             for w in adj[nd]:
-                if w in remaining:
+                if w not in level:
                     deg[w] -= 1
                     if deg[w] == 1:
                         nxt.append(w)
-        if len(remaining) == 1:
-            center = next(iter(remaining))
-            level[center] = rnd + 1
-            remaining.clear()
-            break
-        if not remaining:
-            # simultaneous removal of >1 node at the last round would mean a
-            # two-node center, which block trees never have
-            if len(leaves) != 1:
-                raise RuntimeError("block tree has no unique center")
-            center = leaves[0]
-            break
-        rnd += 1
-        leaves = sorted(nxt)
+        leaves, rnd = nxt, rnd + 1
+    centers = [nd for nd, ws in adj.items() if all(level[w] <= level[nd] for w in ws)]
+    return adj, level, centers
+
+
+def block_tree(g: ColoredGraph) -> BlockTree:
+    if not is_connected(g):
+        raise NotConnectedError("block tree requires a connected graph")
+    # a single vertex is a degenerate block of its own
+    raw_blocks, cutset = ([{0}], set()) if g.n == 1 else _dfs_blocks(g)
+    blocks = _sorted_blocks(raw_blocks)
+    adj, level, (center,) = _peel(blocks, cutset)
+    tree_edges = frozenset(
+        (i, v) for (kind, i), ws in adj.items() if kind == "b" for _, v in ws
+    )
 
     # orient toward center
     parent: dict[Node, Optional[Node]] = {center: None}
@@ -199,7 +177,7 @@ def block_tree(g: ColoredGraph) -> BlockTree:
                 frontier.append(w)
     return BlockTree(
         blocks=tuple(blocks),
-        cuts=cuts,
+        cuts=tuple(sorted(cutset)),
         tree_edges=tree_edges,
         center=center,
         level=level,

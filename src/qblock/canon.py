@@ -4,30 +4,26 @@ Canonical codes are explicit byte strings, never hashes: equality of codes must
 coincide exactly with rooted colored isomorphism, since merged classes feed
 directly into the quantum-group composition.
 
-`_CodeCtx` is the one code system. It decomposes a connected graph once into
-blocks and cut vertices, and codes every node of the block-cut tree, in any
+`_CodeCtx` is the one code system. It extends the graph's one
+`classrec.Decomposition` (blocks, cut vertices, block shapes, the top node of
+each component) and codes every node of the block-cut forest, in any
 orientation, from the codes of its children, without re-inducing branches.
-`rooted_code` is a thin wrapper that codes the node covering the whole graph,
-and the engine reads the codes of all nodes from the same context.
+`rooted_code` is a thin wrapper that codes the node covering a connected
+graph, and the engine reads the codes of all nodes from the same context.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-# biconnected_components, cut_vertices: unused, kept for perfbench/tracer.py to wrap
+# biconnected_components, block_tree, cut_vertices, hamiltonian_cycle and
+# induced_subgraph: unused, kept for perfbench/tracer.py to wrap
 from .blocks import RootedGraph, biconnected_components, block_tree, cut_vertices  # noqa: F401
-from .classrec import CycleStructure, block_is_complete, hamiltonian_cycle
-from .errors import (
-    NotConnectedError,
-    NotOuterplanarBlockError,
-    TooLargeError,
-    UnsupportedBlockError,
-)
-from .graph import ColoredGraph, induced_subgraph, is_connected
+from .classrec import Decomposition, hamiltonian_cycle  # noqa: F401
+from .errors import NotConnectedError, TooLargeError
+from .graph import ColoredGraph, induced_subgraph, is_connected  # noqa: F401
 
 Perm = tuple[int, ...]
 
@@ -303,34 +299,8 @@ def dihedral_symmetries(
 CodeNode = tuple[str, int, Optional[int]]
 
 
-class BlockShape:
-    """One block's induced graph and Hamiltonian cycle, each built on first use.
-
-    The code of a block and its atom in the engine read the same cycle.
-    """
-
-    def __init__(self, g: ColoredGraph, verts: Sequence[int]):
-        self.g = g
-        self.verts = tuple(verts)
-        self.complete = block_is_complete(g, self.verts)
-
-    @cached_property
-    def graph(self) -> ColoredGraph:
-        """The block induced on `verts` (sorted), relabelled 0..k-1 in that order."""
-        return induced_subgraph(self.g, self.verts)[0]
-
-    @cached_property
-    def cycle(self) -> CycleStructure:
-        try:
-            return hamiltonian_cycle(self.graph)
-        except NotOuterplanarBlockError as exc:
-            raise UnsupportedBlockError(
-                f"block {self.verts} is neither complete nor outerplanar"
-            ) from exc
-
-
-class _CodeCtx:
-    """Canonical codes of the nodes of one connected graph's block-cut tree.
+class _CodeCtx(Decomposition):
+    """Canonical codes of the nodes of a graph's block-cut forest.
 
     The code of a node covers what hangs below it, so the code of
     ("c", v, b) equals `rooted_code` of the branch at v away from block b,
@@ -341,24 +311,13 @@ class _CodeCtx:
     """
 
     def __init__(self, g: ColoredGraph):
-        self.g = g
-        self.tree = block_tree(g)
-        self.blocks = self.tree.blocks
-        self.cuts = frozenset(self.tree.cuts)
-        self.incident: dict[int, list[int]] = {}
-        for i, blk in enumerate(self.blocks):
-            for v in blk:
-                self.incident.setdefault(v, []).append(i)
-        self.shapes = [BlockShape(g, blk) for blk in self.blocks]
+        super().__init__(g)
         self._codes: dict[CodeNode, bytes] = {}
 
-    def top(self, root: Optional[int]) -> CodeNode:
-        """The node covering the whole graph: the center if unrooted, else the
-        root as a cut, or the root's only block pinned at the root."""
-        if root is None:
-            kind, idx = self.tree.center
-            return (kind, idx, None)
-        if root in self.cuts:
+    def top(self, root: int) -> CodeNode:
+        """The node covering root's component, rooted at root: root as a cut
+        (or as an isolated vertex), else root's only block pinned at root."""
+        if root in self.cuts or not self.incident[root]:
             return ("c", root, None)
         return ("b", self.incident[root][0], root)
 
@@ -432,4 +391,4 @@ def rooted_code(g: ColoredGraph, root: Optional[int]) -> bytes:
     if root is not None and not (0 <= root < g.n):
         raise ValueError("root outside vertex range")
     ctx = _CodeCtx(g)
-    return ctx.code(ctx.top(root))
+    return ctx.code(ctx.tops[0] if root is None else ctx.top(root))

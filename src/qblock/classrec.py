@@ -1,14 +1,17 @@
-"""Graph class recognition and outerplanar cycle/chord structure extraction."""
+"""Graph class recognition, outerplanar cycle/chord structure extraction, and
+the one block decomposition of a graph that classification and `qut` share."""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Optional, Sequence
 
-from .blocks import biconnected_components
-from .errors import NotBiconnectedError, NotOuterplanarBlockError
-from .graph import ColoredGraph, connected_components, induced_subgraph
+from .blocks import _dfs_blocks, _peel, _sorted_blocks, biconnected_components
+from .errors import NotBiconnectedError, NotOuterplanarBlockError, UnsupportedBlockError
+# connected_components: unused, kept for perfbench/tracer.py to wrap
+from .graph import ColoredGraph, connected_components, induced_subgraph  # noqa: F401
 
 Edge = tuple[int, int]
 
@@ -98,26 +101,79 @@ def hamiltonian_cycle(b: ColoredGraph) -> CycleStructure:
     return CycleStructure(cycle=tuple(cycle), chords=inner)
 
 
-def block_is_complete(g: ColoredGraph, verts: Sequence[int]) -> bool:
-    """Whether the k vertices `verts` induce a complete block: k(k-1)/2 edges."""
-    vs = frozenset(verts)
-    return sum(len(g.adjacency[v] & vs) for v in vs) == len(vs) * (len(vs) - 1)
+class BlockShape:
+    """One block: whether it is complete, plus its induced graph and its
+    Hamiltonian cycle, each built on first use.
+
+    Classification, the block's code and its atom read the same cycle.
+    """
+
+    def __init__(self, g: ColoredGraph, verts: Sequence[int]):
+        self.g = g
+        self.verts = tuple(verts)
+        vs = frozenset(verts)
+        # k vertices induce a complete block when they carry k(k-1)/2 edges
+        self.complete = sum(len(g.adjacency[v] & vs) for v in vs) == len(vs) * (len(vs) - 1)
+
+    @cached_property
+    def graph(self) -> ColoredGraph:
+        """The block induced on `verts` (sorted), relabelled 0..k-1 in that order."""
+        return induced_subgraph(self.g, self.verts)[0]
+
+    @cached_property
+    def outer(self) -> Optional[CycleStructure]:
+        """The block's Hamiltonian cycle, or None if it is not outerplanar."""
+        try:
+            return hamiltonian_cycle(self.graph)
+        except NotOuterplanarBlockError:
+            return None
+
+    @property
+    def cycle(self) -> CycleStructure:
+        if self.outer is None:
+            raise UnsupportedBlockError(
+                f"block {self.verts} is neither complete nor outerplanar"
+            )
+        return self.outer
+
+
+class Decomposition:
+    """A graph, possibly disconnected, split into blocks by one DFS.
+
+    `blocks` are in `biconnected_components` order, `incident` maps every
+    vertex to its blocks' indices, `shapes` has one `BlockShape` per block,
+    and `tops` one node per component: its block-cut tree's center, as
+    ("b", block, None) or ("c", cut, None), or ("c", v, None) if v is isolated.
+    """
+
+    def __init__(self, g: ColoredGraph):
+        self.g = g
+        raw_blocks, cutset = _dfs_blocks(g)
+        self.blocks = tuple(_sorted_blocks(raw_blocks))
+        self.cuts = frozenset(cutset)
+        self.incident: dict[int, list[int]] = {v: [] for v in range(g.n)}
+        for i, blk in enumerate(self.blocks):
+            for v in blk:
+                self.incident[v].append(i)
+        self.shapes = [BlockShape(g, blk) for blk in self.blocks]
+        _, _, centers = _peel(self.blocks, self.cuts)
+        self.tops = [(kind, x, None) for kind, x in centers] + [
+            ("c", v, None) for v, bs in self.incident.items() if not bs
+        ]
+
+    @cached_property
+    def graph_class(self) -> GraphClass:
+        """Class priority: Forest, then BlockGraph, then Outerplanar."""
+        if all(len(blk) == 2 for blk in self.blocks):
+            return GraphClass.FOREST
+        if all(shape.complete for shape in self.shapes):
+            return GraphClass.BLOCK_GRAPH
+        # complete blocks too: K4 is complete but not outerplanar
+        if all(len(s.verts) <= 2 or s.outer is not None for s in self.shapes):
+            return GraphClass.OUTERPLANAR
+        return GraphClass.UNSUPPORTED
 
 
 def classify(g: ColoredGraph) -> GraphClass:
     """Class priority: Forest, then BlockGraph, then Outerplanar."""
-    comps = connected_components(g)
-    if g.m == g.n - len(comps):
-        return GraphClass.FOREST
-    blocks = biconnected_components(g)
-    if all(block_is_complete(g, b) for b in blocks):
-        return GraphClass.BLOCK_GRAPH
-    for b in blocks:
-        if len(b) <= 2:
-            continue
-        sub, _ = induced_subgraph(g, b)
-        try:
-            hamiltonian_cycle(sub)
-        except NotOuterplanarBlockError:
-            return GraphClass.UNSUPPORTED
-    return GraphClass.OUTERPLANAR
+    return Decomposition(g).graph_class

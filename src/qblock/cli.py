@@ -27,6 +27,7 @@ EXIT_INPUT = 2
 EXIT_REFUSED = 3
 EXIT_ORBIT_GAP = 4
 EXIT_SHADOW_MISMATCH = 5
+EXIT_INTERNAL = 6
 
 
 def _read_graph(path: str) -> ColoredGraph:
@@ -252,6 +253,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (QBlockError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        # a defect, not an input error: one line, no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,14 +1,14 @@
-"""Quantum automorphism groups by one post-order pass over the block-cut tree.
+"""Quantum automorphism groups by one post-order pass over the block-cut forest.
 
-The pass takes the canonical codes of the block-cut tree's nodes from
-`canon._CodeCtx` and, children first, gives each distinct code its quantum
-group. A cut vertex contributes a free product of free wreaths over the
-isomorphism classes of the branches below it. A block contributes a free
-inhomogeneous wreath of branch stabilizers over the orbits of the block's own
-quantum group, with each child cut vertex labelled by the code of what hangs
-below it. The tree is oriented toward its center, or toward the root of a
-rooted call.
-"""
+`qut` reads one `canon._CodeCtx` of its input: the graph class, the top node
+of each component and the canonical codes of all nodes. Children first, the
+pass gives each distinct code its quantum group. A cut vertex contributes a
+free product of free wreaths over the isomorphism classes of the branches
+below it, and the components combine the same way (an isolated vertex has no
+branches). A block contributes a free inhomogeneous wreath of branch
+stabilizers over the orbits of the block's own quantum group, with each child
+cut vertex labelled by the code of what hangs below it. Each tree is oriented
+toward its center, or toward the root of a rooted call."""
 
 from __future__ import annotations
 
@@ -25,13 +25,14 @@ from .blocks import (  # noqa: F401
     cut_vertices,
     subgraph_below,
 )
-from .classrec import CycleStructure, GraphClass, classify, hamiltonian_cycle  # noqa: F401
+from .classrec import BlockShape, CycleStructure, GraphClass
+from .classrec import classify, hamiltonian_cycle  # noqa: F401
 from .errors import ClassRefusedError, NotConnectedError
 from .graph import (
     ColoredGraph,
     complement,
     connected_components,
-    induced_subgraph,
+    induced_subgraph,  # noqa: F401
     is_connected,
 )
 from .qexpr import (
@@ -166,7 +167,7 @@ def _dihedral_atom(
 
 
 def _block_atom(
-    shape: canon.BlockShape, labels: Sequence[bytes], pin: Optional[int]
+    shape: BlockShape, labels: Sequence[bytes], pin: Optional[int]
 ) -> tuple[QGroupExpr, list[tuple[int, ...]]]:
     """Dispatch for a single block, returning (expression, canonical orbits)."""
     n = len(labels)
@@ -188,7 +189,7 @@ def _block_atom(
 def qut_block_atom(b: ColoredGraph, pin: Optional[int] = None) -> QGroupExpr:
     """Quantum automorphism group of a single (colored, optionally pinned) block."""
     labels = [_label(b.colors[v], b"", v == pin) for v in range(b.n)]
-    expr, _ = _block_atom(canon.BlockShape(b, range(b.n)), labels, pin)
+    expr, _ = _block_atom(BlockShape(b, range(b.n)), labels, pin)
     return expr
 
 
@@ -199,10 +200,12 @@ def qut_block_atom(b: ColoredGraph, pin: Optional[int] = None) -> QGroupExpr:
 
 def _cut_formula(codes: Iterable[bytes], memo: dict[bytes, QGroupExpr]) -> QGroupExpr:
     """Group of the branches at a cut vertex, or of a disjoint union: a free
-    product, over the classes of equal codes, of free wreaths by S^+(size)."""
+    product, over the classes of equal codes, of free wreaths by S^+(size);
+    trivial when there is nothing below."""
     counts = Counter(codes)
     return free_product(
         [free_wreath(memo[code], symq(k)) for code, k in sorted(counts.items())]
+        or [TRIVIAL]
     )
 
 
@@ -224,34 +227,29 @@ def _block_formula(
     return inhom_free_wreath(factors, base_expr)
 
 
-def _qut_pass(
-    g: ColoredGraph, root: Optional[int], memo: dict[bytes, QGroupExpr]
-) -> bytes:
-    """Code of connected `g` (rooted at `root` if given); its Qut goes to `memo`.
+def _qut_pass(ctx: canon._CodeCtx, tops: Sequence[canon.CodeNode]) -> QGroupExpr:
+    """Qut of the disjoint union of what hangs below `tops`.
 
-    Each node of the block-cut tree is visited once, children first; its
-    group is built from the children's groups the first time its code occurs.
+    Each node below a top is visited once, children first; its group is
+    built from the children's groups the first time its code occurs, so a
+    repeated branch or component costs its codes only.
     """
-    if g.n <= 1:
-        code = canon.rooted_code(g, root)
-        memo[code] = TRIVIAL
-        return code
-    ctx = canon._CodeCtx(g)
-    top = ctx.top(root)
-    for node, code in ctx.walk(top):
-        if code in memo:
-            continue
-        if node[0] == "c":
-            below = [ctx.code(child) for child in ctx.children(node)]
-            memo[code] = _cut_formula(below, memo)
-        else:
-            memo[code] = _block_formula(ctx, node, memo)
-    return ctx.code(top)
+    memo: dict[bytes, QGroupExpr] = {}
+    for top in tops:
+        for node, code in ctx.walk(top):
+            if code in memo:
+                continue
+            if node[0] == "c":
+                below = [ctx.code(child) for child in ctx.children(node)]
+                memo[code] = _cut_formula(below, memo)
+            else:
+                memo[code] = _block_formula(ctx, node, memo)
+    return _cut_formula([ctx.code(top) for top in tops], memo)
 
 
 def _qut_rooted(g: ColoredGraph, root: Optional[int]) -> QGroupExpr:
-    memo: dict[bytes, QGroupExpr] = {}
-    return memo[_qut_pass(g, root, memo)]
+    ctx = canon._CodeCtx(g)
+    return _qut_pass(ctx, ctx.tops if root is None else [ctx.top(root)])
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +264,8 @@ def qut_connected(g: ColoredGraph) -> QGroupExpr:
 
 
 def qut(g: ColoredGraph, force: bool = False) -> QutResult:
-    cls = classify(g)
+    ctx = canon._CodeCtx(g)
+    cls = ctx.graph_class
     assumptions: tuple[str, ...] = ()
     if cls is GraphClass.UNSUPPORTED:
         if not force:
@@ -276,16 +275,7 @@ def qut(g: ColoredGraph, force: bool = False) -> QutResult:
                 " iso <=> quantum-iso hypothesis"
             )
         assumptions = (FORCED_ASSUMPTION,)
-    comps = connected_components(g)
-    if not comps:
-        expr: QGroupExpr = TRIVIAL
-    elif len(comps) == 1:
-        expr = _qut_rooted(g, None)
-    else:
-        # one memo across components: a repeated component costs its codes only
-        memo: dict[bytes, QGroupExpr] = {}
-        codes = [_qut_pass(induced_subgraph(g, comp)[0], None, memo) for comp in comps]
-        expr = _cut_formula(codes, memo)
+    expr = _qut_pass(ctx, ctx.tops)
     return QutResult(expr=expr, assumptions=assumptions, graph_class=cls)
 
 

@@ -203,20 +203,23 @@ def complement(g: ColoredGraph) -> ColoredGraph:
 
 
 def induced_subgraph(
-    g: ColoredGraph, vertices: Sequence[int]
+    g: ColoredGraph, vertices: Iterable[int]
 ) -> tuple[ColoredGraph, dict[int, int]]:
     """Induced subgraph on `vertices`, relabeled 0..k-1; returns (graph, old->new map)."""
-    vs = sorted(set(vertices))
-    if len(vs) != len(list(vertices)):
+    selected = list(vertices)
+    vs = sorted(set(selected))
+    if len(vs) != len(selected):
         raise UnknownVertexError("duplicate vertices in selection")
     for v in vs:
         if not (0 <= v < g.n):
             raise UnknownVertexError(f"vertex {v} not in graph")
     relabel = {old: new for new, old in enumerate(vs)}
+    # O(sum of degrees) over the selection, not a scan of all edges
     edges = [
         (relabel[u], relabel[v])
-        for u, v in g.edges
-        if u in relabel and v in relabel
+        for u in vs
+        for v in g.adjacency[u]
+        if u < v and v in relabel
     ]
     colors = tuple(g.colors[v] for v in vs)
     return make_graph(len(vs), edges, colors), relabel

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+import qblock.cli
 from qblock.cli import (
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_REFUSED,
     main,
@@ -171,3 +173,13 @@ def test_complete_graph_roundtrip_through_cli_json(tmp_path, capsys):
     k3 = _write(tmp_path, "k3.txt", render_graph(complete_graph(3)))
     assert main(["qut", k3, "--json"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out) == {"t": "symq", "n": 3}
+
+
+def test_internal_error_is_one_line(c4_file, capsys, monkeypatch):
+    def deep(g, force=False):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(qblock.cli, "qut", deep)
+    assert main(["qut", c4_file]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"

@@ -4,7 +4,12 @@ from math import factorial, prod
 
 import pytest
 
-from qblock.blocks import block_tree
+import qblock.blocks
+import qblock.canon
+import qblock.classrec
+import qblock.engine
+import qblock.graph
+from qblock.blocks import biconnected_components, block_tree
 from qblock.classrec import GraphClass, classify
 from qblock.engine import (
     has_quantum_symmetry,
@@ -315,3 +320,52 @@ def test_long_caterpillar_shadow():
         expected = prod(factorial(k) for k in leaves)
         expected *= 2 if leaves == leaves[::-1] else 1
         assert classical_shadow_order(qut(_caterpillar(leaves)).expr) == expected
+
+
+# -- one decomposition per input ------------------------------------------------
+
+
+def _count_calls(monkeypatch, name):
+    """Record the arguments of every call of `name`, whichever module calls it."""
+    calls = []
+    for mod in (qblock.graph, qblock.blocks, qblock.classrec, qblock.canon, qblock.engine):
+        if hasattr(mod, name):
+
+            def counted(*args, _fn=getattr(mod, name), **kwargs):
+                calls.append(args)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_qut_decomposes_the_input_once(monkeypatch):
+    rng = random.Random(73)
+    triangles = make_graph(
+        9, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (4, 5), (5, 6), (4, 6), (6, 7), (7, 8)]
+    )
+    parts = [rand_outerplanar(rng, 14) for _ in range(6)] + [triangles, BOWTIE, triangles]
+    parts += [make_graph(1)] * 3
+    rng.shuffle(parts)
+    edges, n = [], 0
+    for p in parts:
+        edges += [(u + n, v + n) for u, v in p.edges]
+        n += p.n
+    g = make_graph(n, edges, [rng.randrange(2) for _ in range(n)])
+    blocks = biconnected_components(g)
+    assert classify(g) is GraphClass.OUTERPLANAR
+    assert any(len(b) > 3 for b in blocks)
+
+    cycles = _count_calls(monkeypatch, "hamiltonian_cycle")
+    trees = _count_calls(monkeypatch, "block_tree")
+    components = _count_calls(monkeypatch, "connected_components")
+    induced = _count_calls(monkeypatch, "induced_subgraph")
+    qut(g)
+    assert len(cycles) == sum(len(b) > 2 for b in blocks)
+    assert trees == []
+    # only the 4-vertex atom splits a graph, the complement of one block
+    assert all(h.n == 4 for (h,) in components)
+    selections = [tuple(sorted(verts)) for host, verts in induced if host is g]
+    assert len(selections) == len(induced)
+    assert len(set(selections)) == len(selections)
+    assert set(selections) <= set(blocks)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qblock.errors import DuplicateEdgeError, ParseError, SelfLoopError
+from qblock.errors import DuplicateEdgeError, ParseError, SelfLoopError, UnknownVertexError
 from qblock.graph import (
     ColoredGraph,
     complement,
@@ -131,6 +131,9 @@ def test_induced_subgraph():
     colored = make_graph(3, [(0, 1)], {0: 4, 2: 9})
     sub2, rel2 = induced_subgraph(colored, [0, 2])
     assert sub2.colors == (4, 9) and sub2.m == 0 and rel2 == {0: 0, 2: 1}
+    assert induced_subgraph(C4, iter([3, 1, 2])) == (sub, rel)
+    with pytest.raises(UnknownVertexError):
+        induced_subgraph(C4, iter([1, 1]))
 
 
 def test_connected_components():
