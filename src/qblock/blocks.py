@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Collection, Optional, Sequence
 
 from .errors import NotConnectedError, UnknownNodeError
@@ -32,6 +32,15 @@ class BlockTree:
     center: Node
     level: dict[Node, int]
     parent: dict[Node, Optional[Node]]
+    _children: dict[Optional[Node], list[Node]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        kids: dict[Optional[Node], list[Node]] = {}
+        for nd in sorted(self.parent):
+            kids.setdefault(self.parent[nd], []).append(nd)
+        object.__setattr__(self, "_children", kids)
 
     def nodes(self) -> list[Node]:
         return [("b", i) for i in range(len(self.blocks))] + [
@@ -39,7 +48,7 @@ class BlockTree:
         ]
 
     def children(self, node: Node) -> list[Node]:
-        return sorted(n for n, p in self.parent.items() if p == node)
+        return list(self._children.get(node, ()))
 
 
 def _dfs_blocks(g: ColoredGraph) -> tuple[list[set[int]], set[int]]:
@@ -156,6 +165,10 @@ def _peel(
 
 
 def block_tree(g: ColoredGraph) -> BlockTree:
+    if g.n == 0:
+        raise NotConnectedError(
+            "block tree requires a connected graph; the empty graph has no vertices"
+        )
     if not is_connected(g):
         raise NotConnectedError("block tree requires a connected graph")
     # a single vertex is a degenerate block of its own

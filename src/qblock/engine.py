@@ -46,7 +46,7 @@ from .qexpr import (
     quantum_orbits,
     symq,
 )
-from .wl import stable_coloring, vertex_classes
+from .wl import color_refinement, stable_coloring, vertex_classes
 
 FORCED_ASSUMPTION = (
     "iso <=> quantum-iso assumed for encountered rooted subgraphs (mixed-class mode)"
@@ -135,14 +135,23 @@ def _dihedral_atom(
     pin: Optional[int],
     cs: CycleStructure,
 ) -> tuple[QGroupExpr, list[tuple[int, ...]]]:
-    """Classical route for outerplanar blocks: all symmetry is dihedral."""
+    """Classical route for outerplanar blocks: all symmetry is dihedral.
+
+    The quantum orbits refine the labels and are equitable, so they lie
+    between the Aut orbits and the colour-refinement (1-WL) classes, the
+    coarsest such partition. 1-WL closes this sandwich on almost every block;
+    2-WL, whose vertex classes lie between the quantum orbits and 1-WL, runs
+    only when the 1-WL classes are strictly coarser than the Aut orbits.
+    """
     n = bb.n
     lab_of = {v: labels[v] for v in range(n)}
     best_order, sym_maps = canon.dihedral_symmetries(cs.cycle, cs.chords, lab_of)
     elements = [tuple(sigma[v] for v in range(n)) for sigma in sym_maps]
     raw_group = canon.group_from_elements(n, elements)
     aut_orbits = canon.orbits(raw_group, range(n))
-    wl_classes = vertex_classes(stable_coloring(bb))
+    wl_classes = color_refinement(bb)
+    if wl_classes != aut_orbits:
+        wl_classes = vertex_classes(stable_coloring(bb))
     orbs = quantum_orbits(aut_orbits, wl_classes)
     phi = {v: i for i, v in enumerate(best_order)}
     orbs = sorted(orbs, key=lambda orb: min(phi[v] for v in orb))

@@ -68,7 +68,9 @@ class OrbitGapError(QBlockError):
     """Automorphism orbits are strictly finer than the WL vertex classes.
 
     The quantum orbits are then not pinned down by the classical sandwich,
-    so the recursion cannot proceed soundly.
+    so the recursion cannot proceed soundly. Raised only when colour
+    refinement (1-WL) and then 2-WL both leave the gap; `wl_partition` holds
+    the 2-WL vertex classes.
     """
 
     def __init__(self, aut_orbits, wl_partition):

@@ -269,6 +269,8 @@ def quantum_orbits(
 ) -> list[tuple[int, ...]]:
     """Pin quantum orbits via the sandwich Aut-orbits <= Qut-orbits <= WL classes.
 
+    `wl_partition` is the colour-refinement (1-WL) classes, or the 2-WL vertex
+    classes when 1-WL leaves a gap; both are coarser than the quantum orbits.
     When the two sides agree, the quantum orbits are squeezed to that common
     partition; otherwise the recursion cannot proceed soundly.
     """

@@ -1,10 +1,35 @@
-"""2-dimensional Weisfeiler-Leman refinement of ordered vertex pairs."""
+"""Weisfeiler-Leman refinement: colour refinement (1-WL) of vertices and
+2-dimensional refinement of ordered vertex pairs."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .graph import ColoredGraph
+
+
+def color_refinement(g: ColoredGraph) -> list[tuple[int, ...]]:
+    """Stable 1-WL vertex classes, sorted by smallest member.
+
+    Starting from `g.colors`, each round recolours a vertex by its colour and
+    the sorted colours of its neighbours, keyed exactly; a round never merges
+    classes, so the colouring is stable once the class count stops growing.
+    """
+    color = list(g.colors)
+    count = len(set(color))
+    while True:
+        ids: dict = {}
+        color = [
+            ids.setdefault((color[v], tuple(sorted(color[w] for w in nbrs))), len(ids))
+            for v, nbrs in enumerate(g.adjacency)
+        ]
+        if len(ids) == count:
+            break
+        count = len(ids)
+    groups: dict[int, list[int]] = {}
+    for v, c in enumerate(color):
+        groups.setdefault(c, []).append(v)
+    return [tuple(vs) for vs in groups.values()]
 
 
 @dataclass(frozen=True)

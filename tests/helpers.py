@@ -11,7 +11,7 @@ import random
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from qblock.graph import ColoredGraph, make_graph
+from qblock.graph import ColoredGraph, make_graph, relabel
 
 Edge = tuple[int, int]
 
@@ -325,6 +325,15 @@ def rand_outerplanar(rng: random.Random, n_max: int = 9) -> ColoredGraph:
             block.extend(acc)
         n = _glue_block(rng, edges, n, block, size)
     return make_graph(n, edges)
+
+
+def rand_outerplanar_block(rng: random.Random, m: int) -> ColoredGraph:
+    """A relabelled m-cycle with up to m random pairwise non-crossing chords."""
+    chords: list[Edge] = []
+    for c in rng.sample(cycle_chord_candidates(m), min(m, m * (m - 3) // 2)):
+        if all(not _crossing(c, a) for a in chords):
+            chords.append(c)
+    return relabel(outerplanar_block_graph(m, chords), rand_permutation(rng, m))
 
 
 def rand_block_graph(rng: random.Random, n_max: int = 9) -> ColoredGraph:

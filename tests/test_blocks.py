@@ -20,7 +20,9 @@ from helpers import (
     complete_graph,
     cycle_graph,
     path_graph,
+    rand_block_graph,
     rand_connected_graph,
+    rand_outerplanar,
 )
 
 
@@ -62,6 +64,18 @@ def test_block_tree_bowtie_and_p4():
     assert tp.center[0] == "b"
     assert tp.blocks[tp.center[1]] == (1, 2)
     assert sorted(child_cut_vertices(tp, tp.center[1])) == [1, 2]
+
+
+def test_children_match_the_parent_scan():
+    rng = random.Random(43)
+    graphs = [rand_connected_graph(rng, rng.randint(1, 9)) for _ in range(20)]
+    graphs += [rand_outerplanar(rng, 30) for _ in range(20)]
+    graphs += [rand_block_graph(rng, 30) for _ in range(20)]
+    for g in graphs:
+        t = block_tree(g)
+        for node in t.nodes():
+            scan = sorted(nd for nd, p in t.parent.items() if p == node)
+            assert t.children(node) == scan
 
 
 def test_block_tree_single_vertex_and_single_block():

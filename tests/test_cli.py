@@ -155,6 +155,14 @@ def test_blocktree_dot(tmp_path, capsys):
     assert out.rstrip().endswith("}")
 
 
+def test_blocktree_of_empty_graph_is_an_input_error(tmp_path, capsys):
+    empty = _write(tmp_path, "empty.txt", "0 0\n")
+    assert main(["blocktree", empty]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: block tree requires a connected graph; the empty graph has no vertices\n"
+    )
+
+
 def test_wl_command(c4_file, capsys):
     assert main(["wl", c4_file]) == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()

@@ -54,6 +54,7 @@ from helpers import (
     path_graph,
     rand_block_graph,
     rand_outerplanar,
+    rand_outerplanar_block,
     rand_permutation,
     star_graph,
 )
@@ -301,6 +302,15 @@ def test_long_path_under_default_recursion_limit():
     assert qut(path_graph(1000)).expr == SymQ(2)
 
 
+def test_rooted_cut_on_a_long_path():
+    g = path_graph(5000)
+    t = block_tree(g)
+    assert t.center == ("b", 2499)
+    # X^{<=2500}: the path 2500..4999 rooted at its end, which nothing moves
+    assert qut_rooted_cut(g, t, 2500) == TRIVIAL
+    assert qut_rooted_cut(g, t, 4998) == TRIVIAL
+
+
 def _caterpillar(leaves):
     spine = len(leaves)
     edges = [(i, i + 1) for i in range(spine - 1)]
@@ -369,3 +379,30 @@ def test_qut_decomposes_the_input_once(monkeypatch):
     assert len(selections) == len(induced)
     assert len(set(selections)) == len(selections)
     assert set(selections) <= set(blocks)
+
+
+# -- orbit sandwich: colour refinement first, 2-WL only on a gap ----------------
+
+# C8 with chords {2,4} and {0,6}: colour refinement puts 1, 3, 5 and 7 in one
+# class, while Aut splits them into {1,5} and {3,7}, and so does 2-WL
+GAP_BLOCK = make_graph(8, [(i, (i + 1) % 8) for i in range(8)] + [(2, 4), (0, 6)])
+
+
+def test_two_wl_runs_only_when_colour_refinement_leaves_a_gap(monkeypatch):
+    rng = random.Random(41)
+    fan = make_graph(40, [(i, i + 1) for i in range(39)] + [(0, i) for i in range(2, 40)])
+    cases = [(GAP_BLOCK, 1), (cycle_graph(40), 0), (fan, 0)]
+    cases += [(rand_outerplanar_block(rng, rng.randint(5, 16)), 0) for _ in range(30)]
+    with monkeypatch.context() as m:
+        m.setattr(
+            qblock.engine,
+            "color_refinement",
+            lambda g: qblock.engine.vertex_classes(qblock.engine.stable_coloring(g)),
+        )
+        forced = [qut(g).expr for g, _ in cases]
+
+    calls = _count_calls(monkeypatch, "stable_coloring")
+    for (g, escalations), expr in zip(cases, forced):
+        before = len(calls)
+        assert qut(g).expr == expr
+        assert len(calls) - before == escalations

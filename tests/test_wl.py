@@ -1,7 +1,11 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from qblock.graph import make_graph, relabel
 from qblock.wl import (
+    color_refinement,
     initial_coloring,
     refine,
     same_wl_class,
@@ -16,6 +20,7 @@ from helpers import (
     cycle_graph,
     path_graph,
     rand_connected_graph,
+    rand_permutation,
 )
 
 
@@ -126,3 +131,31 @@ def test_orbit_soundness():
             for i in range(g.n):
                 for j in range(g.n):
                     assert c.color[i][j] == c.color[p[i]][p[j]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10), st.integers(0, 2**28 - 1))
+def test_color_refinement_laws(n, seed):
+    """1-WL classes: an equitable, colour-respecting partition, invariant
+    under relabelling, and a union of 2-WL vertex classes."""
+    rng = random.Random(seed)
+    p = rng.random()
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    g = make_graph(n, edges, [rng.randrange(3) for _ in range(n)])
+    classes = color_refinement(g)
+    assert sorted(v for cls in classes for v in cls) == list(range(n))
+    assert classes == sorted((tuple(sorted(c)) for c in classes), key=lambda t: t[0])
+    class_of = {v: i for i, cls in enumerate(classes) for v in cls}
+    for cls in classes:
+        assert len({g.colors[v] for v in cls}) == 1
+        counts = {
+            tuple(sorted(class_of[w] for w in g.adjacency[v])) for v in cls
+        }
+        assert len(counts) == 1
+
+    perm = rand_permutation(rng, n)
+    moved = [tuple(sorted(perm[v] for v in c)) for c in classes]
+    assert color_refinement(relabel(g, perm)) == sorted(moved, key=lambda t: t[0])
+
+    for cls in vertex_classes(stable_coloring(g)):
+        assert len({class_of[v] for v in cls}) == 1
