@@ -236,27 +236,68 @@ def automorphism_group(
 # ---------------------------------------------------------------------------
 
 
-def dihedral_orders(cycle: Sequence[int]) -> list[tuple[int, ...]]:
-    """All 2m rotations/reflections of a cyclic order, as vertex sequences."""
-    m = len(cycle)
-    out = []
-    for s in range(m):
-        out.append(tuple(cycle[(s + i) % m] for i in range(m)))
-        out.append(tuple(cycle[(s - i) % m] for i in range(m)))
-    return out
+def _chord_pack(order: Sequence[int], chords: Iterable[Iterable[int]]) -> bytes:
+    pos = {v: i for i, v in enumerate(order)}
+    chpos = sorted(tuple(sorted((pos[u], pos[v]))) for u, v in (tuple(c) for c in chords))
+    return pack(b"ch", [enc_int(i) + b"," + enc_int(j) for i, j in chpos])
 
 
 def _order_encoding(
     order: Sequence[int],
-    chords: Iterable[frozenset[int]],
+    chords: Iterable[Iterable[int]],
     label_of: dict[int, bytes],
 ) -> bytes:
-    pos = {v: i for i, v in enumerate(order)}
-    chpos = sorted(tuple(sorted((pos[u], pos[v]))) for u, v in (tuple(c) for c in chords))
     parts = [enc_int(len(order))]
     parts.extend(label_of[v] for v in order)
-    parts.append(pack(b"ch", [enc_int(i) + b"," + enc_int(j) for i, j in chpos]))
+    parts.append(_chord_pack(order, chords))
     return pack(b"seq", parts)
+
+
+def _least_orders(
+    cycle: Sequence[int],
+    chords: Iterable[Iterable[int]],
+    label_of: dict[int, bytes],
+    root: Optional[int] = None,
+) -> list[tuple[int, ...]]:
+    """The dihedral orders of `cycle` whose `_order_encoding` is least: all
+    2k rotations and reflections, or only the 2 that start at `root`.
+
+    Labels are ranked once by (length, bytes), which is how the
+    length-prefixed encoding compares them, so the orders are compared as
+    tuples of ints; only orders that tie on ranks compare chord packs, by
+    (length, bytes). The first order returned is the first least one in
+    sequence (rotation, then reflection, from each start). The others encode
+    the same, so mapping the first onto any of them preserves labels and chords.
+    """
+    uniq = sorted({label_of[v] for v in cycle}, key=lambda lab: (len(lab), lab))
+    rank = {lab: i for i, lab in enumerate(uniq)}
+    fwd = tuple(cycle)
+    rf = tuple(rank[label_of[v]] for v in fwd)
+    m = len(fwd)
+    seqs = ((fwd, rf), (fwd[::-1], rf[::-1]))
+    best: Optional[tuple[int, ...]] = None
+    # (vertex sequence, start) of each order that ties on ranks
+    tied: list[tuple[tuple[int, ...], int]] = []
+    for s in range(m) if root is None else (fwd.index(root),):
+        for (vs, rs), i in zip(seqs, (s, m - 1 - s)):
+            ranks = rs[i:] + rs[:i]
+            if best is None or ranks < best:
+                best, tied = ranks, [(vs, i)]
+            elif ranks == best:
+                tied.append((vs, i))
+    orders = (vs[i:] + vs[:i] for vs, i in tied)
+    chords = list(chords)
+    if len(tied) == 1 or not chords:
+        return list(orders)
+    least: Optional[tuple[int, bytes]] = None
+    out: list[tuple[int, ...]] = []
+    for order in orders:
+        p = _chord_pack(order, chords)
+        if least is None or (len(p), p) < least:
+            least, out = (len(p), p), [order]
+        elif (len(p), p) == least:
+            out.append(order)
+    return out
 
 
 def dihedral_symmetries(
@@ -267,25 +308,13 @@ def dihedral_symmetries(
     """Canonical cyclic order plus all label/chord-preserving dihedral maps.
 
     Returns (best_order, symmetries); each symmetry maps vertex -> vertex.
-    The canonical order minimizes the (label sequence, chord positions) bytes.
+    The canonical order minimizes the (label sequence, chord positions) bytes
+    (`_least_orders`). The orders that encode the same as the canonical one
+    are its images under exactly the symmetries, so the symmetries are read
+    from them without a second search.
     """
-    base = tuple(cycle)
-    chordset = {frozenset(c) for c in chords}
-    best_order: Optional[tuple[int, ...]] = None
-    best_key: Optional[bytes] = None
-    elements: list[dict[int, int]] = []
-    for cand in dihedral_orders(base):
-        key = _order_encoding(cand, chordset, label_of)
-        if best_key is None or key < best_key:
-            best_key, best_order = key, cand
-        sigma = {base[i]: cand[i] for i in range(len(base))}
-        if any(label_of[v] != label_of[sigma[v]] for v in base):
-            continue
-        if {frozenset((sigma[u], sigma[v])) for u, v in (tuple(c) for c in chordset)} != chordset:
-            continue
-        elements.append(sigma)
-    assert best_order is not None
-    return best_order, elements
+    orders = _least_orders(cycle, chords, label_of)
+    return orders[0], [dict(zip(orders[0], order)) for order in orders]
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +401,10 @@ class _CodeCtx(Decomposition):
             others = sorted(labels[:r] + labels[r + 1 :])
             return pack(b"K1", [enc_int(len(verts)), labels[r]] + others)
         cs = shape.cycle
-        candidates = dihedral_orders(cs.cycle)
-        if r is not None:
-            candidates = [c for c in candidates if c[0] == r]
         tag = b"O0" if r is None else b"O1"
         label_of = dict(enumerate(labels))
-        return min(tag + _order_encoding(c, cs.chords, label_of) for c in candidates)
+        order = _least_orders(cs.cycle, cs.chords, label_of, r)[0]
+        return tag + _order_encoding(order, cs.chords, label_of)
 
 
 def rooted_code(g: ColoredGraph, root: Optional[int]) -> bytes:

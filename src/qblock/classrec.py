@@ -77,28 +77,63 @@ def classify_edges(b: ColoredGraph) -> tuple[frozenset[Edge], frozenset[Edge]]:
 def hamiltonian_cycle(b: ColoredGraph) -> CycleStructure:
     """The unique Hamiltonian cycle of a biconnected outerplanar block.
 
-    The cycle is exactly the set of outer edges; it is returned in canonical
-    rotation (starting at the smallest vertex, toward its smaller neighbor).
+    Degree-2 elimination (Mitchell 1979): remove a vertex of degree 2 and join
+    its two neighbours until a triangle is left, then put the removed vertices
+    back in reverse order, each between the two neighbours it left. On a graph
+    that is not outerplanar those two may no longer be consecutive, so the
+    result is checked: every cycle edge is an edge of `b`, and the other edges
+    are chords that do not cross. Such a cycle is the only Hamiltonian one, and
+    its chords are exactly the 2-separator (inner) edges of `classify_edges`.
+    The cycle is returned in canonical rotation (starting at vertex 0, toward
+    its smaller neighbor).
     """
-    outer, inner = classify_edges(b)
-    deg: dict[int, list[int]] = {v: [] for v in range(b.n)}
-    for u, v in outer:
-        deg[u].append(v)
-        deg[v].append(u)
-    if any(len(nb) != 2 for nb in deg.values()):
-        raise NotOuterplanarBlockError("outer edges do not form a spanning cycle")
-    start = 0
-    cycle = [start]
-    prev = start
-    cur = min(deg[start])
-    while cur != start:
-        cycle.append(cur)
-        a, c = deg[cur]
-        nxt = c if a == prev else a
-        prev, cur = cur, nxt
-    if len(cycle) != b.n:
-        raise NotOuterplanarBlockError("outer edges form more than one cycle")
-    return CycleStructure(cycle=tuple(cycle), chords=inner)
+    if not _is_biconnected(b):
+        raise NotBiconnectedError("edge classification needs a biconnected graph, n >= 3")
+    adj = [set(nb) for nb in b.adjacency]
+    alive = set(range(b.n))
+    queue = [v for v in range(b.n) if len(adj[v]) == 2]
+    removed: list[tuple[int, int, int]] = []
+    while len(alive) > 3 and queue:
+        v = queue.pop()
+        if v not in alive or len(adj[v]) != 2:
+            continue
+        x, y = adj[v]
+        adj[x].discard(v)
+        adj[y].discard(v)
+        adj[x].add(y)
+        adj[y].add(x)
+        alive.discard(v)
+        removed.append((v, x, y))
+        queue.extend(w for w in (x, y) if len(adj[w]) == 2)
+    if len(alive) > 3:
+        raise NotOuterplanarBlockError("degree-2 elimination stops before a triangle")
+    x, y, z = alive
+    nxt = {x: y, y: z, z: x}
+    for v, a, c in reversed(removed):
+        if nxt[a] != c:
+            a = c
+        nxt[a], nxt[v] = v, nxt[a]
+    cycle = [0]
+    while len(cycle) < b.n:
+        cycle.append(nxt[cycle[-1]])
+    if cycle[-1] < cycle[1]:
+        cycle[1:] = cycle[:0:-1]
+    ring = {(min(u, v), max(u, v)) for u, v in zip(cycle, cycle[1:] + cycle[:1])}
+    if not ring <= b.edges:
+        raise NotOuterplanarBlockError("the cycle uses a non-edge")
+    chords = b.edges - ring
+    pos = {v: i for i, v in enumerate(cycle)}
+    # chords as position intervals, outer before inner: they do not cross
+    # exactly when they nest like brackets
+    spans = sorted((sorted((pos[u], pos[v])) for u, v in chords), key=lambda s: (s[0], -s[1]))
+    ends: list[int] = []
+    for i, j in spans:
+        while ends and ends[-1] <= i:
+            ends.pop()
+        if ends and ends[-1] < j:
+            raise NotOuterplanarBlockError("chords cross")
+        ends.append(j)
+    return CycleStructure(cycle=tuple(cycle), chords=frozenset(chords))
 
 
 class BlockShape:

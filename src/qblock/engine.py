@@ -146,24 +146,24 @@ def _dihedral_atom(
     n = bb.n
     lab_of = {v: labels[v] for v in range(n)}
     best_order, sym_maps = canon.dihedral_symmetries(cs.cycle, cs.chords, lab_of)
-    elements = [tuple(sigma[v] for v in range(n)) for sigma in sym_maps]
-    raw_group = canon.group_from_elements(n, elements)
-    aut_orbits = canon.orbits(raw_group, range(n))
+    # the maps are the whole group, so its orbits and order are read off them
+    aut_orbits: list[tuple[int, ...]] = []
+    seen: set[int] = set()
+    for v in range(n):
+        if v not in seen:
+            aut_orbits.append(tuple(sorted({sigma[v] for sigma in sym_maps})))
+            seen.update(aut_orbits[-1])
     wl_classes = color_refinement(bb)
     if wl_classes != aut_orbits:
         wl_classes = vertex_classes(stable_coloring(bb))
     orbs = quantum_orbits(aut_orbits, wl_classes)
     phi = {v: i for i, v in enumerate(best_order)}
     orbs = sorted(orbs, key=lambda orb: min(phi[v] for v in orb))
-    order = raw_group.order
+    order = len(sym_maps)
     if order == 1:
         return TRIVIAL, orbs
     if n == 4 and pin is not None:
-        moved = [
-            v
-            for v in range(n)
-            if any(p[v] != v for p in elements)
-        ]
+        moved = [v for v in range(n) if any(sigma[v] != v for sigma in sym_maps)]
         if order == 2 and len(moved) == 2:
             # pinned 4-vertex stabilizer: a single transposition, i.e. the
             # full quantum vertex stabilizer of C4 or the diamond

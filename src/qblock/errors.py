@@ -41,7 +41,8 @@ class NotBiconnectedError(QBlockError):
 
 
 class NotOuterplanarBlockError(QBlockError):
-    """The outer edges of a biconnected graph do not form a spanning cycle."""
+    """A biconnected graph has no Hamiltonian cycle whose other edges are
+    non-crossing chords: it is not outerplanar."""
 
 
 class UnsupportedBlockError(QBlockError):

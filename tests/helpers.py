@@ -449,3 +449,74 @@ def brute_hamiltonian_cycles(g: ColoredGraph) -> set[frozenset[Edge]]:
 
     rec([0], {0})
     return cycles
+
+
+# ---------------------------------------------------------------------------
+# reference searches for outerplanar blocks
+# ---------------------------------------------------------------------------
+
+
+def dihedral_orders(cycle: Sequence[int]) -> list[tuple[int, ...]]:
+    """All 2m rotations/reflections of a cyclic order: from each start, the
+    rotation and then the reflection."""
+    m = len(cycle)
+    out = []
+    for s in range(m):
+        out.append(tuple(cycle[(s + i) % m] for i in range(m)))
+        out.append(tuple(cycle[(s - i) % m] for i in range(m)))
+    return out
+
+
+def ref_least_order(
+    cycle: Sequence[int],
+    chords: Iterable[Edge],
+    label_of: dict[int, bytes],
+    root: Optional[int] = None,
+) -> tuple[int, ...]:
+    """The first dihedral order (starting at `root` if given) with the least
+    `_order_encoding`, found by encoding every candidate."""
+    from qblock.canon import _order_encoding
+
+    cands = [c for c in dihedral_orders(cycle) if root is None or c[0] == root]
+    return min(cands, key=lambda c: _order_encoding(c, chords, label_of))
+
+
+def ref_dihedral_symmetries(
+    cycle: Sequence[int], chords: Iterable[Edge], label_of: dict[int, bytes]
+) -> list[tuple[int, ...]]:
+    """Label- and chord-preserving maps base[i] -> cand[i] over all dihedral
+    orders, as sorted tuples indexed by vertex."""
+    chordset = {frozenset(c) for c in chords}
+    base = tuple(cycle)
+    out = []
+    for cand in dihedral_orders(base):
+        sigma = dict(zip(base, cand))
+        if any(label_of[v] != label_of[sigma[v]] for v in base):
+            continue
+        if {frozenset(sigma[v] for v in c) for c in chordset} != chordset:
+            continue
+        out.append(tuple(sigma[v] for v in sorted(base)))
+    return sorted(out)
+
+
+def ref_hamiltonian_cycle(b: ColoredGraph):
+    """The cycle and chords of a block by the 2-separator definition: the
+    outer edges of `classify_edges` must form one spanning cycle."""
+    from qblock.classrec import CycleStructure, classify_edges
+    from qblock.errors import NotOuterplanarBlockError
+
+    outer, inner = classify_edges(b)
+    nbrs: dict[int, list[int]] = {v: [] for v in range(b.n)}
+    for u, v in outer:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    if any(len(nb) != 2 for nb in nbrs.values()):
+        raise NotOuterplanarBlockError("outer edges do not form a spanning cycle")
+    cycle = [0, min(nbrs[0])]
+    while len(cycle) < b.n:
+        a, c = nbrs[cycle[-1]]
+        nxt = c if a == cycle[-2] else a
+        if nxt == 0:
+            raise NotOuterplanarBlockError("outer edges form more than one cycle")
+        cycle.append(nxt)
+    return CycleStructure(cycle=tuple(cycle), chords=inner)

@@ -23,7 +23,10 @@ from helpers import (
     rand_block_graph,
     rand_connected_graph,
     rand_outerplanar,
+    rand_outerplanar_block,
     rand_permutation,
+    ref_dihedral_symmetries,
+    ref_least_order,
 )
 
 
@@ -119,6 +122,81 @@ def test_dihedral_symmetries_counts():
         (0, 1, 2, 3, 4), frozenset({(0, 2)}), lab
     )
     assert len(syms2) == 2
+
+
+# b"\xff" sorts after b"\x00\x00" as bytes but before it by length, which is
+# how the length-prefixed encoding compares labels
+LABELS = (b"", b"\x00", b"\xff", b"\x00\x00", b"\x01\x00", b"L\x00\x00\x00\x019")
+
+
+def _symmetric_blocks():
+    """Blocks with reflections and rotations: C8 with chords mirrored both
+    ways, a hexagon with a triangle of chords, and fans."""
+    yield outerplanar_block_graph(8, [(0, 2), (4, 6)])
+    yield outerplanar_block_graph(8, [(0, 2), (4, 6), (0, 4)])
+    yield outerplanar_block_graph(6, [(0, 2), (2, 4), (0, 4)])
+    for m in (5, 9):
+        yield outerplanar_block_graph(m, [(0, j) for j in range(2, m - 1)])
+
+
+def test_least_orders_match_the_encoding_search():
+    rng = random.Random(97)
+    blocks = [rand_outerplanar_block(rng, rng.randint(4, 14)) for _ in range(60)]
+    blocks += list(_symmetric_blocks())
+    for i, g in enumerate(blocks):
+        cs = canon.hamiltonian_cycle(g)
+        cyc, m = cs.cycle, len(cs.cycle)
+        labelings = [
+            {v: b"" for v in cyc},
+            {v: rng.choice(LABELS[1:4]) for v in cyc},
+            {v: rng.choice(LABELS) for v in cyc},
+            # symmetric under the reflection that fixes cyc[0]
+            {v: LABELS[min(j, m - j) % len(LABELS)] for j, v in enumerate(cyc)},
+        ]
+        for label_of in labelings:
+            best, syms = canon.dihedral_symmetries(cyc, cs.chords, label_of)
+            assert best == ref_least_order(cyc, cs.chords, label_of), i
+            maps = sorted(tuple(s[v] for v in range(m)) for s in syms)
+            assert maps == ref_dihedral_symmetries(cyc, cs.chords, label_of), i
+            for root in cyc:
+                rooted = canon._least_orders(cyc, cs.chords, label_of, root)[0]
+                assert rooted == ref_least_order(cyc, cs.chords, label_of, root)
+
+
+def _ref_block_code(ctx, node):
+    """A block's code from the order that the encoding search picks."""
+    _, x, root = node
+    verts = ctx.blocks[x]
+    below = {child[1]: ctx.code(child) for child in ctx.children(node)}
+    label_of = {
+        i: canon.pack(b"L", [canon.enc_int(ctx.g.colors[v]), below.get(v, b"")])
+        for i, v in enumerate(verts)
+    }
+    cs = ctx.shapes[x].cycle
+    r = None if root is None else verts.index(root)
+    order = ref_least_order(cs.cycle, cs.chords, label_of, r)
+    return (b"O0" if r is None else b"O1") + canon._order_encoding(order, cs.chords, label_of)
+
+
+def test_block_codes_match_the_encoding_search():
+    """Blocks with pendant paths of several lengths, uncoloured or with
+    colours that include 9 and 10, whose labels differ in length and byte
+    order."""
+    rng = random.Random(98)
+    blocks = [rand_outerplanar_block(rng, rng.randint(4, 12)) for _ in range(40)]
+    blocks += list(_symmetric_blocks())
+    for g in blocks:
+        edges, n = list(g.edges), g.n
+        for v in range(g.n):
+            for k in range(rng.choice((0, 0, 1, 2, 3))):
+                edges.append((v if k == 0 else n - 1, n))
+                n += 1
+        colors = [rng.choice((0, 1, 9, 10)) if g.n % 2 else 0 for _ in range(n)]
+        ctx = canon._CodeCtx(make_graph(n, edges, colors))
+        (x,) = [i for i, blk in enumerate(ctx.blocks) if len(blk) == g.n]
+        for root in (None,) + ctx.blocks[x]:
+            node = ("b", x, root)
+            assert ctx.code(node) == _ref_block_code(ctx, node)
 
 
 def test_rooted_code_distinguishes_roots():

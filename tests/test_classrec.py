@@ -17,7 +17,10 @@ from helpers import (
     noncrossing_chord_sets,
     outerplanar_block_graph,
     path_graph,
+    rand_connected_graph,
     rand_outerplanar,
+    rand_outerplanar_block,
+    ref_hamiltonian_cycle,
 )
 
 
@@ -73,6 +76,39 @@ def test_hamiltonian_cycle_matches_brute_enumeration():
                 for a, b in zip(cs.cycle, cs.cycle[1:] + cs.cycle[:1])
             )
             assert brute_hamiltonian_cycles(g) == {cycle_edges}
+
+
+def _outcome(f, g):
+    try:
+        return f(g)
+    except (NotBiconnectedError, NotOuterplanarBlockError) as e:
+        return type(e)
+
+
+def test_hamiltonian_cycle_matches_the_two_separator_definition():
+    rng = random.Random(61)
+    graphs = [complete_graph(4), complete_graph(5), BOWTIE, make_graph(1), make_graph(2, [(0, 1)])]
+    # K_{2,3}, and wheels: a hub joined to every vertex of C_k
+    graphs.append(make_graph(5, [(a, c) for a in (0, 1) for c in (2, 3, 4)]))
+    graphs += [make_graph(k + 1, list(cycle_graph(k).edges) + [(i, k) for i in range(k)]) for k in range(3, 9)]
+    for _ in range(120):
+        block = rand_outerplanar_block(rng, rng.randint(3, 14))
+        graphs.append(block)
+        # the same block with extra chords, crossing or not
+        extra = {tuple(sorted(rng.sample(range(block.n), 2))) for _ in range(rng.randint(1, 2))}
+        graphs.append(make_graph(block.n, block.edges | extra))
+        graphs.append(rand_outerplanar(rng, 12))
+        graphs.append(rand_connected_graph(rng, rng.randint(3, 9)))
+    accepted = 0
+    for g in graphs:
+        want, got = _outcome(ref_hamiltonian_cycle, g), _outcome(hamiltonian_cycle, g)
+        if isinstance(want, type):
+            assert got is want
+            continue
+        assert got == want
+        assert got.chords == classify_edges(g)[1]
+        accepted += 1
+    assert 150 < accepted < len(graphs) - 150
 
 
 def test_outerplanar_edge_count_bound():

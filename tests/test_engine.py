@@ -381,6 +381,26 @@ def test_qut_decomposes_the_input_once(monkeypatch):
     assert set(selections) <= set(blocks)
 
 
+def test_outerplanar_blocks_encode_one_order_and_skip_the_separator_search(monkeypatch):
+    fan = make_graph(40, [(i, i + 1) for i in range(39)] + [(0, i) for i in range(2, 40)])
+    for g in (cycle_graph(40), fan):
+        encodings = _count_calls(monkeypatch, "_order_encoding")
+        separations = _count_calls(monkeypatch, "_connected_after_removal")
+        block_codes = []
+        code = qblock.canon._CodeCtx._code
+
+        def counted(ctx, node, _code=code):
+            if node[0] == "b":
+                block_codes.append(node)
+            return _code(ctx, node)
+
+        monkeypatch.setattr(qblock.canon._CodeCtx, "_code", counted)
+        qut(g)
+        monkeypatch.undo()
+        assert 1 <= len(encodings) <= len(block_codes)
+        assert separations == []
+
+
 # -- orbit sandwich: colour refinement first, 2-WL only on a gap ----------------
 
 # C8 with chords {2,4} and {0,6}: colour refinement puts 1, 3, 5 and 7 in one
