@@ -81,7 +81,7 @@ def _labeled(b: ColoredGraph, labels: Sequence[bytes]) -> ColoredGraph:
 def _four_atom(
     bb: ColoredGraph, labels: Sequence[bytes]
 ) -> tuple[QGroupExpr, list[tuple[int, ...]]]:
-    """Qut of an unpinned 4-vertex non-complete block via its complement.
+    """Qut of a 4-vertex non-complete block via its complement.
 
     The complement of such a block is a disjoint union of K2 and K1 pieces;
     isomorphism classes of pieces drive the composition, label classes within
@@ -132,7 +132,6 @@ def _four_atom(
 def _dihedral_atom(
     bb: ColoredGraph,
     labels: Sequence[bytes],
-    pin: Optional[int],
     cs: CycleStructure,
 ) -> tuple[QGroupExpr, list[tuple[int, ...]]]:
     """Classical route for outerplanar blocks: all symmetry is dihedral.
@@ -159,15 +158,8 @@ def _dihedral_atom(
     orbs = quantum_orbits(aut_orbits, wl_classes)
     phi = {v: i for i, v in enumerate(best_order)}
     orbs = sorted(orbs, key=lambda orb: min(phi[v] for v in orb))
-    order = len(sym_maps)
-    if order == 1:
+    if len(sym_maps) == 1:
         return TRIVIAL, orbs
-    if n == 4 and pin is not None:
-        moved = [v for v in range(n) if any(sigma[v] != v for sigma in sym_maps)]
-        if order == 2 and len(moved) == 2:
-            # pinned 4-vertex stabilizer: a single transposition, i.e. the
-            # full quantum vertex stabilizer of C4 or the diamond
-            return symq(2), orbs
     conj = [
         tuple(phi[sigma[best_order[i]]] for i in range(n)) for sigma in sym_maps
     ]
@@ -176,7 +168,7 @@ def _dihedral_atom(
 
 
 def _block_atom(
-    shape: BlockShape, labels: Sequence[bytes], pin: Optional[int]
+    shape: BlockShape, labels: Sequence[bytes]
 ) -> tuple[QGroupExpr, list[tuple[int, ...]]]:
     """Dispatch for a single block, returning (expression, canonical orbits)."""
     n = len(labels)
@@ -190,15 +182,15 @@ def _block_atom(
         expr = free_product([symq(len(c)) for c in ordered])
         return expr, ordered
     bb = _labeled(shape.graph, labels)
-    if n == 4 and pin is None:
+    if n == 4:
         return _four_atom(bb, labels)
-    return _dihedral_atom(bb, labels, pin, shape.cycle)
+    return _dihedral_atom(bb, labels, shape.cycle)
 
 
 def qut_block_atom(b: ColoredGraph, pin: Optional[int] = None) -> QGroupExpr:
     """Quantum automorphism group of a single (colored, optionally pinned) block."""
     labels = [_label(b.colors[v], b"", v == pin) for v in range(b.n)]
-    expr, _ = _block_atom(BlockShape(b, range(b.n)), labels, pin)
+    expr, _ = _block_atom(BlockShape(b, range(b.n)), labels)
     return expr
 
 
@@ -226,8 +218,7 @@ def _block_formula(
     verts = ctx.blocks[bid]
     branch = {v: ctx.code(ctx.branch(v, bid)) for _, v, _ in ctx.children(node)}
     labels = [_label(ctx.g.colors[v], branch.get(v, b""), v == root) for v in verts]
-    pin = None if root is None else verts.index(root)
-    base_expr, orbits = _block_atom(ctx.shapes[bid], labels, pin)
+    base_expr, orbits = _block_atom(ctx.shapes[bid], labels)
     factors = []
     for orb in orbits:
         # an orbit lies in one label class, so its first vertex stands for all

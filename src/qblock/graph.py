@@ -51,15 +51,6 @@ class ColoredGraph:
             adj[v].add(u)
         return tuple(frozenset(s) for s in adj)
 
-    @cached_property
-    def adjacency_masks(self) -> tuple[int, ...]:
-        """Neighbour sets as bitmasks, for fast brute-force searches."""
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
-
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge(u, v) in self.edges
 

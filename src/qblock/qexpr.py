@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, Optional, Sequence, Union
 
 from .canon import ClassicalPermGroup, _closure, element_order, group_from_elements
@@ -108,6 +108,43 @@ def degree(e: QGroupExpr) -> Optional[int]:
     raise TypeError(f"not an expression: {e!r}")
 
 
+def _children(e: QGroupExpr) -> tuple[QGroupExpr, ...]:
+    """Operands in rendering order: factors, inner then outer, fibers then base."""
+    if isinstance(e, FreeProduct):
+        return e.factors
+    if isinstance(e, FreeWreath):
+        return (e.inner, e.outer)
+    if isinstance(e, InhomFreeWreath):
+        return (*(f for f, _ in e.factors), e.base)
+    if isinstance(e, (Trivial, SymQ, Classical)):
+        return ()
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def _fold(e: QGroupExpr, combine):
+    """Post-order walk: `combine(node, values of _children(node))` per node.
+
+    An explicit stack keeps any depth within the recursion limit. The engine's
+    memo shares subexpressions, so each node is combined once, keyed by `id`
+    (every node stays alive through `e` while the walk runs).
+    """
+    done: dict[int, object] = {}
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        kids = _children(node)
+        todo = [k for k in kids if id(k) not in done]
+        if todo:
+            stack.extend(todo)
+        else:
+            stack.pop()
+            done[id(node)] = combine(node, [done[id(k)] for k in kids])
+    return done[id(e)]
+
+
 # ---------------------------------------------------------------------------
 # smart constructors (the only way normal forms are built)
 # ---------------------------------------------------------------------------
@@ -198,6 +235,10 @@ def inhom_free_wreath(
 
 
 def normalize(e: QGroupExpr) -> QGroupExpr:
+    return _fold(e, _normal)
+
+
+def _normal(e: QGroupExpr, vals: list) -> QGroupExpr:
     if isinstance(e, Trivial):
         return TRIVIAL
     if isinstance(e, SymQ):
@@ -205,14 +246,10 @@ def normalize(e: QGroupExpr) -> QGroupExpr:
     if isinstance(e, Classical):
         return classical(e.group)
     if isinstance(e, FreeProduct):
-        return free_product([normalize(f) for f in e.factors])
+        return free_product(vals)
     if isinstance(e, FreeWreath):
-        return free_wreath(normalize(e.inner), normalize(e.outer))
-    if isinstance(e, InhomFreeWreath):
-        return inhom_free_wreath(
-            [(normalize(f), k) for f, k in e.factors], normalize(e.base)
-        )
-    raise TypeError(f"not an expression: {e!r}")
+        return free_wreath(*vals)
+    return inhom_free_wreath([(v, k) for v, (_, k) in zip(vals, e.factors)], vals[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +272,10 @@ def is_classical(e: QGroupExpr) -> bool:
 
 
 def classical_shadow_order(e: QGroupExpr) -> int:
+    return _fold(e, _shadow)
+
+
+def _shadow(e: QGroupExpr, vals: list) -> int:
     if isinstance(e, Trivial):
         return 1
     if isinstance(e, SymQ):
@@ -242,21 +283,13 @@ def classical_shadow_order(e: QGroupExpr) -> int:
     if isinstance(e, Classical):
         return e.group.order
     if isinstance(e, FreeProduct):
-        out = 1
-        for f in e.factors:
-            out *= classical_shadow_order(f)
-        return out
+        return prod(vals)
     if isinstance(e, FreeWreath):
         d = degree(e.outer)
         if d is None:
             raise ValueError("free wreath outer without degree")
-        return classical_shadow_order(e.inner) ** d * classical_shadow_order(e.outer)
-    if isinstance(e, InhomFreeWreath):
-        out = classical_shadow_order(e.base)
-        for f, k in e.factors:
-            out *= classical_shadow_order(f) ** k
-        return out
-    raise TypeError(f"not an expression: {e!r}")
+        return vals[0] ** d * vals[1]
+    return vals[-1] * prod(v**k for v, (_, k) in zip(vals, e.factors))
 
 
 def _normal_partition(partition: Iterable[Iterable[int]]) -> frozenset[frozenset[int]]:
@@ -323,93 +356,57 @@ def _group_catalog(group: ClassicalPermGroup) -> tuple[str, int]:
     return ("G", o)
 
 
-def _wrap_text(e: QGroupExpr, s: str) -> str:
-    if isinstance(e, (FreeProduct, FreeWreath, InhomFreeWreath)):
-        return f"({s})"
-    return s
+# infix tokens, text then LaTeX; Z, S, D and G are the kinds of _group_catalog
+_TOKENS = {
+    "symq": ("S^+({})", r"\mathbb{{S}}_{{{}}}^+"),
+    "Z": ("Z_{}", r"\mathbb{{Z}}_{{{}}}"),
+    "S": ("S_{}", "S_{{{}}}"),
+    "D": ("D_{}", "D_{{{}}}"),
+    "G": ("Grp(order={})", r"\mathrm{{Grp}}_{{{}}}"),
+    "prod": (" * ", r" \ast "),
+    "wreath": ("{} wr* {}", r"{} \wr_\ast {}"),
+    "inhom": ("({}) wrwr* {}", r"\left({}\right) \mathbin{{\tilde{{\wr}}_\ast}} {}"),
+}
 
 
-def _render_text(e: QGroupExpr) -> str:
+def _infix(e: QGroupExpr, vals: list[str], col: int) -> str:
+    """Text (col 0) or LaTeX (col 1) of one node. Compound operands get
+    parentheses, except the fibers of an inhomogeneous wreath."""
     if isinstance(e, Trivial):
         return "1"
     if isinstance(e, SymQ):
-        return f"S^+({e.n})"
+        return _TOKENS["symq"][col].format(e.n)
     if isinstance(e, Classical):
         kind, p = _group_catalog(e.group)
-        if kind == "Z":
-            return f"Z_{p}"
-        if kind == "S":
-            return f"S_{p}"
-        if kind == "D":
-            return f"D_{p}"
-        return f"Grp(order={p})"
+        return _TOKENS[kind][col].format(p)
+    wrapped = [
+        f"({v})" if isinstance(c, (FreeProduct, FreeWreath, InhomFreeWreath)) else v
+        for c, v in zip(_children(e), vals)
+    ]
     if isinstance(e, FreeProduct):
-        return " * ".join(_wrap_text(f, _render_text(f)) for f in e.factors)
+        return _TOKENS["prod"][col].join(wrapped)
     if isinstance(e, FreeWreath):
-        left = _wrap_text(e.inner, _render_text(e.inner))
-        right = _wrap_text(e.outer, _render_text(e.outer))
-        return f"{left} wr* {right}"
-    if isinstance(e, InhomFreeWreath):
-        inner = ", ".join(_render_text(f) for f, _ in e.factors)
-        right = _wrap_text(e.base, _render_text(e.base))
-        return f"({inner}) wrwr* {right}"
-    raise TypeError(f"not an expression: {e!r}")
+        return _TOKENS["wreath"][col].format(*wrapped)
+    return _TOKENS["inhom"][col].format(", ".join(vals[:-1]), wrapped[-1])
 
 
-def _render_latex(e: QGroupExpr) -> str:
+def _json(e: QGroupExpr, vals: list[str]) -> str:
+    """The bytes of `json.dumps(obj, separators=(",", ":"), sort_keys=True)`;
+    every value is an int or a fixed tag, so nothing needs escaping."""
     if isinstance(e, Trivial):
-        return "1"
+        return '{"t":"trivial"}'
     if isinstance(e, SymQ):
-        return f"\\mathbb{{S}}_{{{e.n}}}^+"
+        return f'{{"n":{e.n},"t":"symq"}}'
     if isinstance(e, Classical):
-        kind, p = _group_catalog(e.group)
-        if kind == "Z":
-            return f"\\mathbb{{Z}}_{{{p}}}"
-        if kind == "S":
-            return f"S_{{{p}}}"
-        if kind == "D":
-            return f"D_{{{p}}}"
-        return f"\\mathrm{{Grp}}_{{{p}}}"
+        g = e.group
+        gens = ",".join("[" + ",".join(map(str, p)) + "]" for p in g.generators)
+        return f'{{"degree":{g.degree},"gens":[{gens}],"order":{g.order},"t":"classical"}}'
     if isinstance(e, FreeProduct):
-        return " \\ast ".join(_wrap_text(f, _render_latex(f)) for f in e.factors)
+        return f'{{"factors":[{",".join(vals)}],"t":"freeprod"}}'
     if isinstance(e, FreeWreath):
-        left = _wrap_text(e.inner, _render_latex(e.inner))
-        right = _wrap_text(e.outer, _render_latex(e.outer))
-        return f"{left} \\wr_\\ast {right}"
-    if isinstance(e, InhomFreeWreath):
-        inner = ", ".join(_render_latex(f) for f, _ in e.factors)
-        right = _wrap_text(e.base, _render_latex(e.base))
-        return f"\\left({inner}\\right) \\mathbin{{\\tilde{{\\wr}}_\\ast}} {right}"
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def to_json_obj(e: QGroupExpr):
-    if isinstance(e, Trivial):
-        return {"t": "trivial"}
-    if isinstance(e, SymQ):
-        return {"t": "symq", "n": e.n}
-    if isinstance(e, Classical):
-        return {
-            "t": "classical",
-            "degree": e.group.degree,
-            "order": e.group.order,
-            "gens": [list(p) for p in e.group.generators],
-        }
-    if isinstance(e, FreeProduct):
-        return {"t": "freeprod", "factors": [to_json_obj(f) for f in e.factors]}
-    if isinstance(e, FreeWreath):
-        return {
-            "t": "freewreath",
-            "inner": to_json_obj(e.inner),
-            "outer": to_json_obj(e.outer),
-        }
-    if isinstance(e, InhomFreeWreath):
-        return {
-            "t": "inhomwreath",
-            "factors": [{"g": to_json_obj(f), "k": k} for f, k in e.factors],
-            "base": to_json_obj(e.base),
-        }
-    raise TypeError(f"not an expression: {e!r}")
+        return f'{{"inner":{vals[0]},"outer":{vals[1]},"t":"freewreath"}}'
+    fibers = ",".join(f'{{"g":{v},"k":{k}}}' for v, (_, k) in zip(vals, e.factors))
+    return f'{{"base":{vals[-1]},"factors":[{fibers}],"t":"inhomwreath"}}'
 
 
 def from_json_obj(obj) -> QGroupExpr:
@@ -438,13 +435,12 @@ def from_json_obj(obj) -> QGroupExpr:
 
 
 def render(e: QGroupExpr, fmt: str = "text") -> str:
-    if fmt == "text":
-        return _render_text(e)
-    if fmt == "latex":
-        return _render_latex(e)
     if fmt == "json":
-        return json.dumps(to_json_obj(e), separators=(",", ":"), sort_keys=True)
-    raise ValueError(f"unknown format {fmt!r}")
+        return _fold(e, _json)
+    if fmt not in ("text", "latex"):
+        raise ValueError(f"unknown format {fmt!r}")
+    col = 0 if fmt == "text" else 1
+    return _fold(e, lambda node, vals: _infix(node, vals, col))
 
 
 def from_json(text: str) -> QGroupExpr:

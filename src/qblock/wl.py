@@ -48,13 +48,6 @@ class PairColoring:
     def num_classes(self) -> int:
         return 1 + max(c for row in self.color for c in row) if self.n else 0
 
-    def partition(self) -> dict[int, list[tuple[int, int]]]:
-        part: dict[int, list[tuple[int, int]]] = {}
-        for x in range(self.n):
-            for y in range(self.n):
-                part.setdefault(self.color[x][y], []).append((x, y))
-        return part
-
 
 def _canonicalize(n: int, keys: list[list]) -> tuple[tuple[int, ...], ...]:
     ids: dict = {}

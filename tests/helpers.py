@@ -257,6 +257,21 @@ def outerplanar_block_graph(m: int, chords: Iterable[Edge]) -> ColoredGraph:
     return make_graph(m, edges)
 
 
+def hexagon_chain(k: int) -> ColoredGraph:
+    """k hexagons in a row, each joined to the next at antipodal vertices.
+
+    Hexagon i is the cycle 5i, 5i+1, 5i+2, 5i+5, 5i+4, 5i+3: it is entered at
+    5i and left at its antipode 5i+5, the next hexagon's entry. The chain has
+    5k+1 vertices.
+    """
+    edges = []
+    for i in range(k):
+        a = 5 * i
+        ring = [a, a + 1, a + 2, a + 5, a + 4, a + 3]
+        edges.extend((ring[j], ring[(j + 1) % 6]) for j in range(6))
+    return make_graph(5 * k + 1, edges)
+
+
 # ---------------------------------------------------------------------------
 # random generators (seeded)
 # ---------------------------------------------------------------------------
@@ -520,3 +535,43 @@ def ref_hamiltonian_cycle(b: ColoredGraph):
             raise NotOuterplanarBlockError("outer edges form more than one cycle")
         cycle.append(nxt)
     return CycleStructure(cycle=tuple(cycle), chords=inner)
+
+
+def ref_json_obj(e):
+    """Recursive JSON object of an expression; `render(e, "json")` must be the
+    bytes of `json.dumps(ref_json_obj(e), separators=(",", ":"), sort_keys=True)`."""
+    from qblock.qexpr import (
+        Classical,
+        FreeProduct,
+        FreeWreath,
+        InhomFreeWreath,
+        SymQ,
+        Trivial,
+    )
+
+    if isinstance(e, Trivial):
+        return {"t": "trivial"}
+    if isinstance(e, SymQ):
+        return {"t": "symq", "n": e.n}
+    if isinstance(e, Classical):
+        return {
+            "t": "classical",
+            "degree": e.group.degree,
+            "order": e.group.order,
+            "gens": [list(p) for p in e.group.generators],
+        }
+    if isinstance(e, FreeProduct):
+        return {"t": "freeprod", "factors": [ref_json_obj(f) for f in e.factors]}
+    if isinstance(e, FreeWreath):
+        return {
+            "t": "freewreath",
+            "inner": ref_json_obj(e.inner),
+            "outer": ref_json_obj(e.outer),
+        }
+    if isinstance(e, InhomFreeWreath):
+        return {
+            "t": "inhomwreath",
+            "factors": [{"g": ref_json_obj(f), "k": k} for f, k in e.factors],
+            "base": ref_json_obj(e.base),
+        }
+    raise TypeError(f"not an expression: {e!r}")

@@ -1,8 +1,10 @@
-"""Behaviour lock: rendered text and JSON of qut over fixed graph families.
+"""Behaviour lock: rendered text, JSON and LaTeX of qut over fixed graph families.
 
 Each family hashes, in order, the text and the JSON render of every graph's
 result. The expected digests were recorded before the block-tree recursion was
 replaced by a single post-order pass, so any change of output shows up here.
+The LaTeX renders are hashed separately; their digests were recorded with the
+recursive renderers that preceded the single explicit-stack walk.
 """
 
 import hashlib
@@ -161,3 +163,22 @@ def family_digest(graphs) -> str:
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_renders_match_recorded_digest(family):
     assert family_digest(FAMILIES[family]()) == EXPECTED[family]
+
+
+# recorded with the recursive text/LaTeX/JSON renderers that preceded the walk
+EXPECTED_LATEX = {
+    "colored_random_n_le_18": "46f570d8fa506b3063d24601b7e43dcf9c308f9beeb1a6de6a66b05d8ff04b5f",
+    "cycles_and_fans": "593b7bfc73eaf6464b7baad9e6717eac9116e8ab2a55699d9f2493f470d71c2d",
+    "decorated_blocks": "b3e589905cc629033d8cda124ed2358f5f9db1d4b549bf8dbe6c5937bbb64670",
+    "disjoint_unions": "848dbf639b5326d94a8a8a5e602ee1c435791a8a7e917020212c34e29c59568b",
+    "trees_n_le_9": "518ef79e8437ee24df3e328bd08b73062c0a11c985e11c820192e4e1ae9176ba",
+    "windmills_and_triangle_trees": "781db906443094efd3a172047aee7d5bf60de03692d6f7ea8e655fd811b25f09",
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_latex_renders_match_recorded_digest(family):
+    h = hashlib.sha256()
+    for g in FAMILIES[family]():
+        h.update(render(qut(g).expr, "latex").encode() + b"\n")
+    assert h.hexdigest() == EXPECTED_LATEX[family]

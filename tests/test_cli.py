@@ -13,7 +13,7 @@ from qblock.cli import (
 from qblock.graph import render_graph
 from qblock.qexpr import FreeWreath, SymQ, from_json
 
-from helpers import C4, W5, complete_graph, path_graph
+from helpers import C4, W5, complete_graph, hexagon_chain, path_graph
 
 
 @pytest.fixture()
@@ -191,3 +191,15 @@ def test_internal_error_is_one_line(c4_file, capsys, monkeypatch):
     assert main(["qut", c4_file]) == EXIT_INTERNAL
     err = capsys.readouterr().err
     assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
+
+
+@pytest.mark.parametrize(
+    "flag, marker", [([], "wrwr*"), (["--latex"], r"\tilde{\wr}"), (["--json"], "inhomwreath")]
+)
+def test_qut_renders_a_deep_result(tmp_path, capsys, flag, marker):
+    # 1,000 hexagons nest 499 inhomogeneous free wreaths
+    chain = _write(tmp_path, "chain.txt", render_graph(hexagon_chain(1000)))
+    assert main(["qut", chain, *flag]) == EXIT_OK
+    out = capsys.readouterr()
+    assert out.out.count(marker) == 499
+    assert "internal error" not in out.err

@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from math import factorial, prod
@@ -38,6 +39,7 @@ from qblock.qexpr import (
     free_product,
     free_wreath,
     is_classical,
+    normalize,
     render,
     symq,
 )
@@ -51,11 +53,13 @@ from helpers import (
     complete_graph,
     cycle_graph,
     free_trees,
+    hexagon_chain,
     path_graph,
     rand_block_graph,
     rand_outerplanar,
     rand_outerplanar_block,
     rand_permutation,
+    ref_json_obj,
     star_graph,
 )
 
@@ -330,6 +334,38 @@ def test_long_caterpillar_shadow():
         expected = prod(factorial(k) for k in leaves)
         expected *= 2 if leaves == leaves[::-1] else 1
         assert classical_shadow_order(qut(_caterpillar(leaves)).expr) == expected
+
+
+def _hexagon_chain_text(k):
+    """Text of the k-hexagon chain, k >= 2. The chain folds at its centre; each
+    step of a half-chain is one hexagon flipped by Z_2 over the rest."""
+    half = "Z_2"
+    for _ in range(k // 2 - 1):
+        half = f"(1, 1, 1, {half}) wrwr* Z_2"
+    if k % 2:
+        return f"(1, {half}) wrwr* Grp(order=4)"
+    return f"({half}) wr* S^+(2)" if k > 2 else f"{half} wr* S^+(2)"
+
+
+def test_hexagon_chain_shadow_by_brute_force():
+    assert brute_aut_order(hexagon_chain(2)) == 8
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 1000, 3000])
+def test_deep_hexagon_chain_under_default_recursion_limit(k):
+    # the expression nests about k/2 inhomogeneous free wreaths
+    assert sys.getrecursionlimit() <= 1000
+    e = qut(hexagon_chain(k)).expr
+    # each hexagon swaps its two sides on its own, and the chain reverses
+    assert classical_shadow_order(e) == 2 ** (k + 1)
+    text, latex, js = (render(e, fmt) for fmt in ("text", "latex", "json"))
+    assert text == _hexagon_chain_text(k)
+    assert latex.count(r"\tilde{\wr}_\ast") == text.count("wrwr*")
+    assert js.count('"t":"inhomwreath"') == text.count("wrwr*")
+    if k < 10:
+        assert js == json.dumps(ref_json_obj(e), separators=(",", ":"), sort_keys=True)
+    # compared by render: == on the nested dataclasses would itself recurse
+    assert render(normalize(e), "json") == js
 
 
 # -- one decomposition per input ------------------------------------------------

@@ -32,8 +32,9 @@ from qblock.qexpr import (
     quantum_orbits,
     render,
     symq,
-    to_json_obj,
 )
+
+from helpers import ref_json_obj
 
 
 def _cyclic(n: int) -> ClassicalPermGroup:
@@ -299,11 +300,32 @@ def test_render_latex():
         == "\\mathbb{S}_{2}^+ \\wr_\\ast \\mathbb{S}_{2}^+"
     )
     assert render(Z2, "latex") == "\\mathbb{Z}_{2}"
+    assert render(classical(_dihedral(5)), "latex") == "D_{5}"
+    assert render(classical(_symmetric(3, 5)), "latex") == "S_{3}"
+    assert render(classical(_cyclic(6)), "latex") == "\\mathbb{Z}_{6}"
+    klein = group_from_elements(4, _closure(4, [(1, 0, 3, 2), (2, 3, 0, 1)]))
+    assert render(classical(klein), "latex") == "\\mathrm{Grp}_{4}"
+    assert (
+        render(free_wreath(free_product([symq(2), symq(2)]), symq(2)), "latex")
+        == "(\\mathbb{S}_{2}^+ \\ast \\mathbb{S}_{2}^+) \\wr_\\ast \\mathbb{S}_{2}^+"
+    )
+    assert (
+        render(inhom_free_wreath([(symq(2), 1), (Z3, 1)], Z2), "latex")
+        == "\\left(\\mathbb{S}_{2}^+, \\mathbb{Z}_{3}\\right)"
+        " \\mathbin{\\tilde{\\wr}_\\ast} \\mathbb{Z}_{2}"
+    )
 
 
 def test_render_rejects_unknown_format():
     with pytest.raises(ValueError):
         render(TRIVIAL, "yaml")
+
+
+def test_render_rejects_non_expressions():
+    for fmt in ("text", "latex", "json"):
+        for bad in (42, FreeProduct((symq(2), "S^+(2)"))):
+            with pytest.raises(TypeError):
+                render(bad, fmt)
 
 
 # -- JSON ---------------------------------------------------------------------
@@ -321,14 +343,16 @@ def test_json_round_trip_examples():
     for e in exprs:
         text = render(e, "json")
         assert from_json(text) == e
-        assert json.loads(text) == to_json_obj(e)
+        assert json.loads(text) == ref_json_obj(e)
 
 
 def test_json_round_trip_random():
     rng = random.Random(67)
     for _ in range(200):
         e = normalize(_random_raw_expr(rng, 3))
-        assert from_json(render(e, "json")) == e
+        text = render(e, "json")
+        assert from_json(text) == e
+        assert text == json.dumps(ref_json_obj(e), separators=(",", ":"), sort_keys=True)
 
 
 def test_json_rejects_garbage():
